@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = decided/constructed/verified successfully, 1 = the object
-decided does not exist (or verification failed), 2 = input/usage error.
+decided does not exist (or verification failed), 2 = input/usage error,
+3 = internal error (a failed invariant of this package, not bad input).
 
 Subcommands: classify, decide, construct, verify, gadget, match,
 reduce-3dm, oracle, scott.
@@ -21,7 +22,7 @@ from .construct import (
     perfect_forest_undirected,
     weak_to_almost,
 )
-from .errors import OutForestError
+from .errors import InvariantError, OutForestError
 from .forests import (
     ForestKind,
     format_forest,
@@ -117,7 +118,9 @@ def cmd_decide(args) -> int:
         else:
             print(f"no {args.kind} out-forest")
         return 1
-    assert verify(d, f, kind).passed
+    report = verify(d, f, kind)
+    if not report.passed:
+        raise InvariantError(f"constructed forest fails its check: {report.to_json()}")
     if args.json:
         _emit_json(
             {
@@ -132,10 +135,6 @@ def cmd_decide(args) -> int:
     else:
         _write(args.output, format_forest(f))
     return 0
-
-
-def cmd_construct(args) -> int:
-    return cmd_decide(args)
 
 
 def cmd_verify(args) -> int:
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         p.add_argument("--dot", action="store_true")
         _add_budget_flags(p)
-        p.set_defaults(func=cmd_decide if name == "decide" else cmd_construct)
+        p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("verify", help="check a forest file against a digraph")
     p.add_argument("graph")
@@ -335,6 +334,9 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (OutForestError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

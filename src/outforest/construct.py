@@ -2,17 +2,28 @@
 the two forest-transformation lemmas, and the end-to-end constructors.
 
 The gadget reduces weak-perfect-out-forest existence to perfect matching:
-each source vertex u gets a block X_u of 2k-1 gadget vertices (k-1 internal
-matching pairs plus a distinguished boundary vertex y_u), and each source
-arc (u,v) contributes all edges from X_u to y_v.
+each source vertex u gets a block X_u of odd size (a distinguished
+boundary vertex y_u plus internal matching pairs), and each source arc
+(u,v) contributes all edges from X_u to y_v.  The paper's uniform layout
+gives every block n-1 vertices, so the gadget always has n(n-1) vertices.
+The degree-bounded layout used by `decide_weak` gives X_u only
+2*floor(d+(u)/2)+1 vertices (d+ is the out-degree), at most n+m in all.
+That suffices because:
+
+* every block still has odd size, so a perfect matching still gives each
+  vertex an odd number of incident arcs;
+* a forest never needs more than floor(d+(u)/2) internal pairs in X_u: a
+  child vertex has even out-degree at most d+(u), and a root has odd
+  out-degree with y_u carrying one of its arcs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import (
-    MalformedLine,
+    InvariantError,
     NotPerfectMatching,
     NotWeakPerfect,
     OddOrder,
@@ -43,32 +54,47 @@ from .matching import Matching, maximum_matching
 
 @dataclass(frozen=True)
 class GadgetCorrespondence:
-    """Vertex bookkeeping for the gadget graph of a digraph of order n=2k.
+    """Vertex bookkeeping for the gadget graph of a digraph of order n.
 
-    Block X_u occupies the contiguous index range
-    [u*(2k-1), (u+1)*(2k-1)); its first index is the boundary vertex y_u;
-    the remaining 2k-2 indices pair up into the k-1 internal edges.
+    Block X_u occupies the contiguous index range [starts[u], starts[u+1]);
+    its first index is the boundary vertex y_u, and the remaining indices
+    pair up into internal edges.  Every block has odd size: n-1 in the
+    paper's uniform layout, 2*floor(d+(u)/2)+1 in the degree-bounded one
+    (see the module docstring for why that is enough).  `owner` maps each
+    gadget vertex back to its source vertex.
     """
 
-    n: int
-    k: int
+    starts: tuple[int, ...]
+    owner: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", tuple(self.starts))
+        sizes = [b - a for a, b in zip(self.starts, self.starts[1:])]
+        if self.starts[:1] != (0,) or any(s < 1 or s % 2 == 0 for s in sizes):
+            raise ValueError(f"block offsets {self.starts} do not give odd blocks")
+        owner = tuple(u for u, s in enumerate(sizes) for _ in range(s))
+        object.__setattr__(self, "owner", owner)
 
     @property
-    def block_size(self) -> int:
-        return 2 * self.k - 1
+    def n(self) -> int:
+        return len(self.starts) - 1
+
+    @property
+    def size(self) -> int:
+        """Number of gadget vertices."""
+        return self.starts[-1]
 
     def block(self, u: int) -> range:
-        return range(u * self.block_size, (u + 1) * self.block_size)
+        return range(self.starts[u], self.starts[u + 1])
 
     def y(self, u: int) -> int:
-        return u * self.block_size
+        return self.starts[u]
 
     def internal_pairs(self, u: int) -> list[Edge]:
-        s = self.y(u)
-        return [(s + 2 * i + 1, s + 2 * i + 2) for i in range(self.k - 1)]
+        return [(x, x + 1) for x in range(self.starts[u] + 1, self.starts[u + 1], 2)]
 
     def source_of(self, gadget_vertex: int) -> int:
-        return gadget_vertex // self.block_size
+        return self.owner[gadget_vertex]
 
     def arc_edges(self, arc: Arc) -> list[Edge]:
         u, v = arc
@@ -78,9 +104,8 @@ class GadgetCorrespondence:
     def format_sidecar(self) -> str:
         lines = []
         for u in range(self.n):
-            lines.append(
-                f"block {u} {self.y(u)} {self.block_size} {self.y(u)}"
-            )
+            block = self.block(u)
+            lines.append(f"block {u} {block.start} {len(block)} {self.y(u)}")
         for u in range(self.n):
             for (a, b) in self.internal_pairs(u):
                 lines.append(f"pair {a} {b}")
@@ -105,13 +130,16 @@ class ArcSet:
             if indeg[v] > 1:
                 raise ValueError(f"in-degree of {v} exceeds one")
 
-    def degree(self, v: int) -> int:
-        return sum(1 for (a, b) in self.arcs if a == v or b == v)
 
-
-def build_gadget(d: Digraph) -> tuple[UGraph, GadgetCorrespondence]:
+def build_gadget(
+    d: Digraph, bounded: bool = False
+) -> tuple[UGraph, GadgetCorrespondence]:
     """Gadget graph whose perfect matchings correspond to weak perfect
     out-forests of d.  Requires even order n >= 2.
+
+    By default every block has the paper's uniform size n-1; with
+    bounded=True block X_u has size 2*floor(d+(u)/2)+1 and the gadget at
+    most n+m vertices.
 
     Note: for antiparallel source arcs the two copies of the boundary edge
     {y_u, y_v} collapse into one undirected edge; matching_to_arcset
@@ -119,13 +147,20 @@ def build_gadget(d: Digraph) -> tuple[UGraph, GadgetCorrespondence]:
     """
     if d.n % 2 == 1 or d.n < 2:
         raise OddOrder(f"gadget requires even order >= 2, got n={d.n}")
-    c = GadgetCorrespondence(d.n, d.n // 2)
+    if bounded:
+        outdeg = [0] * d.n
+        for (u, _) in d.arcs:
+            outdeg[u] += 1
+        sizes = [2 * (k // 2) + 1 for k in outdeg]
+    else:
+        sizes = [d.n - 1] * d.n
+    c = GadgetCorrespondence((0, *accumulate(sizes)))
     edges: set[Edge] = set()
     for u in range(d.n):
         edges.update(c.internal_pairs(u))
     for arc in d.arcs:
         edges.update(c.arc_edges(arc))
-    return UGraph(d.n * c.block_size, frozenset(edges)), c
+    return UGraph(c.size, frozenset(edges)), c
 
 
 def matching_to_arcset(
@@ -136,10 +171,10 @@ def matching_to_arcset(
     A collapsed boundary edge {y_u, y_v} with both arcs present in d is
     oriented min-index tail -> max-index head.
     """
-    gadget_n = d.n * c.block_size
-    if len(m.covered) != gadget_n:
+    covered = m.covered
+    if covered != frozenset(range(c.size)):
         raise NotPerfectMatching(
-            f"matching covers {len(m.covered)} of {gadget_n} gadget vertices"
+            f"matching covers {len(covered)} of {c.size} gadget vertices"
         )
     arcs: set[Arc] = set()
     for (a, b) in m.edges:
@@ -169,8 +204,12 @@ def remove_cycles(f: ArcSet) -> OutForest:
     """Strip directed cycles from an in-degree <= 1 arc set whose vertices
     all have odd incident arc counts; the result is a weak perfect
     out-forest (cycle vertices lose exactly two incident arcs each)."""
+    degree = [0] * f.n
+    for (u, v) in f.arcs:
+        degree[u] += 1
+        degree[v] += 1
     for v in range(f.n):
-        if f.degree(v) % 2 == 0:
+        if degree[v] % 2 == 0:
             raise ValueError(f"vertex {v} has even incident arc count")
     parent = {v: u for (u, v) in f.arcs}
     # functional-graph cycle detection on parent pointers; cycles are
@@ -215,31 +254,28 @@ def forest_to_matching(
         raise NotWeakPerfect(report.to_json())
     edges: set[Edge] = set()
     for u in range(d.n):
-        out_arcs = [(u, child) for child in f.children[u]]
-        slots: list[int] = []
-        if u in f.roots:
+        children = f.children[u]
+        if u not in f.parent:
             # roots have odd out-degree >= 1; y_u rides the first arc
-            first, rest = out_arcs[0], out_arcs[1:]
-            yv = c.y(first[1])
+            yv = c.y(children[0])
             edges.add((min(c.y(u), yv), max(c.y(u), yv)))
-        else:
-            rest = out_arcs
-        for (a, b) in c.internal_pairs(u):
-            slots.extend((a, b))
-        used = 0
-        for (_, child) in rest:
-            x = slots[used]
-            used += 1
+            children = children[1:]
+        pairs = c.internal_pairs(u)
+        if len(children) % 2 or len(children) > 2 * len(pairs):
+            raise InvariantError(
+                f"block {u} has {len(pairs)} pairs for {len(children)} arcs"
+            )
+        slots = [x for pair in pairs for x in pair]
+        for x, child in zip(slots, children):
             yv = c.y(child)
             edges.add((min(x, yv), max(x, yv)))
-        assert used % 2 == 0
-        for i in range(used // 2, c.k - 1):
-            edges.add(c.internal_pairs(u)[i])
+        edges.update(pairs[len(children) // 2:])
     return Matching(frozenset(edges))
 
 
 def decide_weak(d: Digraph) -> OutForest | None:
-    """Decide/construct a weak perfect out-forest via the gadget.
+    """Decide/construct a weak perfect out-forest via the degree-bounded
+    gadget.
 
     Returns None when none exists (in particular for odd order).  Works on
     disconnected digraphs too: the construction never uses connectivity.
@@ -248,12 +284,14 @@ def decide_weak(d: Digraph) -> OutForest | None:
         return OutForest(0, {})
     if d.n % 2 == 1:
         return None
-    g, c = build_gadget(d)
+    g, c = build_gadget(d, bounded=True)
     m = maximum_matching(g)
     if 2 * len(m) != g.n:
         return None
     f = remove_cycles(matching_to_arcset(d, m, c))
-    assert verify(d, f, ForestKind.WEAK_PERFECT).passed
+    report = verify(d, f, ForestKind.WEAK_PERFECT)
+    if not report.passed:
+        raise InvariantError(f"gadget forest is not weak perfect: {report.to_json()}")
     return f
 
 
@@ -367,7 +405,8 @@ def construct_for_single_initial(d: Digraph) -> OutForest:
     ):
         raise WrongClass(f"need a single initial component and even order, got {cls.value}")
     root = find_universal_root(d)
-    assert root is not None
+    if root is None:
+        raise InvariantError(f"class {cls.value} but no vertex reaches all others")
     tree = spanning_out_tree(d, root)
     return weak_to_almost(d, even_tree_to_weak(tree))
 
@@ -381,27 +420,3 @@ def perfect_forest_undirected(g: UGraph) -> set[Edge] | None:
         return None
     f = construct_for_single_initial(bidirect(g))
     return extract_perfect_forest(g, f)
-
-
-# ---------------------------------------------------------------------------
-# gadget sidecar parsing (CLI round trip)
-
-
-def parse_gadget_sidecar(text: str) -> GadgetCorrespondence:
-    n = 0
-    block_size = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "block":
-            if len(parts) != 5:
-                raise MalformedLine("expected 'block u start len y'", lineno)
-            n += 1
-            block_size = int(parts[3])
-        elif parts[0] != "pair":
-            raise MalformedLine("expected 'block' or 'pair' line", lineno)
-    if block_size is None or n == 0:
-        raise MalformedLine("no block lines", 1)
-    return GadgetCorrespondence(n, (block_size + 1) // 2)

@@ -75,3 +75,8 @@ class StructureMismatch(OutForestError):
 
 class BudgetExceeded(OutForestError):
     pass
+
+
+class InvariantError(OutForestError):
+    """An internal invariant failed: a fault in this package, not bad
+    input.  Raised where an `assert` would vanish under `python -O`."""

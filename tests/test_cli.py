@@ -1,12 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import outforest
+from outforest import (
+    ForestKind,
+    VerificationReport,
+    parse_digraph,
+    parse_forest,
+    verify,
+)
+from outforest import cli
 from outforest.cli import run
 
 TWO_CYCLE = "2 2\n0 1\n1 0\n"
 PATH4 = "4 3\n0 1\n1 2\n2 3\n"
 INWARD_STAR = "4 3\n1 0\n2 0\n3 0\n"
+# decide_weak's forest for this digraph needs a swap to become almost perfect
+SWAP_WITNESS = "4 4\n0 1\n1 2\n0 2\n0 3\n"
 
 
 @pytest.fixture
@@ -65,6 +80,40 @@ class TestDecide:
         p.write_text("4 2\n0 1\n2 3\n")
         assert run(["decide", "--kind", "weak-perfect", str(p)]) == 0
         assert "disconnected" in capsys.readouterr().err
+
+
+class TestInvariantChecks:
+    @pytest.mark.parametrize(
+        "text, code", [(SWAP_WITNESS, 0), (PATH4, 0), (INWARD_STAR, 1)]
+    )
+    def test_decide_under_optimized_python(self, text, code, tmp_path):
+        graph = tmp_path / "g.dg"
+        graph.write_text(text)
+        src = str(Path(outforest.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "outforest.cli", "decide",
+             "--kind", "almost-perfect", str(graph)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            f = parse_forest(proc.stdout)
+            assert verify(parse_digraph(text), f, ForestKind.ALMOST_PERFECT).passed
+        else:
+            assert "no almost-perfect out-forest" in proc.stdout
+
+    def test_failed_check_is_internal_error(self, monkeypatch, twocycle, capsys):
+        monkeypatch.setattr(
+            cli,
+            "verify",
+            lambda d, f, kind: VerificationReport((("even-degree", (0,)),)),
+        )
+        assert run(["decide", "--kind", "weak-perfect", twocycle]) == 3
+        assert "internal error" in capsys.readouterr().err
 
 
 class TestConstructVerifyRoundTrip:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,10 +15,12 @@ from outforest import (
     OutForest,
     OutTree,
     UGraph,
+    VerificationReport,
     build_gadget,
     classify_arc,
     construct_for_single_initial,
     decide_weak,
+    enumerate_digraphs,
     even_tree_to_weak,
     forest_to_matching,
     matching_to_arcset,
@@ -28,7 +32,9 @@ from outforest import (
     verify,
     weak_to_almost,
 )
+from outforest import construct
 from outforest.errors import (
+    InvariantError,
     NotPerfectMatching,
     NotWeakPerfect,
     OddOrder,
@@ -72,6 +78,41 @@ class TestBuildGadget:
         blocks = [set(c.block(u)) for u in range(4)]
         assert all(len(b) == 3 for b in blocks)
         assert len(set().union(*blocks)) == 12
+
+
+class TestBoundedGadget:
+    def test_blocks_sized_by_out_degree(self):
+        digraphs = itertools.chain(
+            enumerate_digraphs(4),
+            sample_digraphs(6, 200, seed=31, arc_probability=0.3),
+            sample_digraphs(8, 200, seed=37, arc_probability=0.3),
+        )
+        for d in digraphs:
+            g, c = build_gadget(d, bounded=True)
+            assert g.n == c.size <= d.n + len(d.arcs)
+            outdeg = [sum(1 for (u, _) in d.arcs if u == v) for v in range(d.n)]
+            assert [len(c.block(u)) for u in range(d.n)] == [
+                2 * (k // 2) + 1 for k in outdeg
+            ]
+            assert all(c.source_of(x) == u for u in range(d.n) for x in c.block(u))
+
+    def test_path_sidecar_offsets(self):
+        g, c = build_gadget(PATH4, bounded=True)
+        assert g.n == 4 and g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+        assert c.format_sidecar() == (
+            "block 0 0 1 0\nblock 1 1 1 1\nblock 2 2 1 2\nblock 3 3 1 3\n"
+        )
+
+    def test_uneven_blocks(self):
+        d = Digraph(4, {(0, 1), (0, 2), (0, 3), (1, 0), (1, 2)})
+        g, c = build_gadget(d, bounded=True)
+        assert [c.y(u) for u in range(4)] == [0, 3, 6, 7]
+        assert c.internal_pairs(0) == [(1, 2)] and c.internal_pairs(1) == [(4, 5)]
+        assert c.internal_pairs(2) == [] and g.n == 8
+
+    def test_even_block_rejected(self):
+        with pytest.raises(ValueError):
+            construct.GadgetCorrespondence((0, 1, 3))
 
 
 class TestMatchingToArcset:
@@ -139,6 +180,91 @@ class TestForestToMatching:
         g, c = build_gadget(d)
         m = forest_to_matching(d, f, c)
         assert 2 * len(m) == g.n
+
+
+def _round_trip(d, f, bounded):
+    """forest -> gadget matching -> arc set -> forest on one layout;
+    returns the arc set read back from the matching."""
+    g, c = build_gadget(d, bounded=bounded)
+    m = forest_to_matching(d, f, c)
+    assert m.edges <= g.edges
+    assert 2 * len(m) == g.n
+    arcset = matching_to_arcset(d, m, c)
+    assert arcset.arcs <= d.arcs and len(arcset.arcs) == len(f.arcs())
+    assert verify(d, remove_cycles(arcset), ForestKind.WEAK_PERFECT).passed
+    return arcset
+
+
+class TestRoundTripBothLayouts:
+    @pytest.mark.parametrize("bounded", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(t=even_spanning_out_trees(min_n=2, max_n=10))
+    def test_tree_forests(self, bounded, t):
+        d = Digraph(t.n, frozenset(t.arcs()))
+        _round_trip(d, even_tree_to_weak(t), bounded)
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_seeded_digraphs(self, bounded):
+        checked = 0
+        for n in (4, 6, 8):
+            for d in sample_digraphs(n, 150, seed=50 + n, arc_probability=0.3):
+                f = decide_weak(d)
+                if f is None:
+                    continue
+                _round_trip(d, f, bounded)
+                _round_trip(d, weak_to_almost(d, f), bounded)
+                checked += 1
+        assert checked > 300
+
+    def test_layouts_read_back_the_same_arcs(self):
+        for d in sample_digraphs(8, 100, seed=59, arc_probability=0.3):
+            f = decide_weak(d)
+            if f is not None:
+                assert _round_trip(d, f, False) == _round_trip(d, f, True)
+
+
+def _decide_uniform(d):
+    """Gadget decision on the paper's uniform layout."""
+    g, c = build_gadget(d)
+    m = maximum_matching(g)
+    if 2 * len(m) != g.n:
+        return None
+    return remove_cycles(matching_to_arcset(d, m, c))
+
+
+class TestBoundedDecider:
+    def test_agrees_with_uniform_layout_and_oracle(self):
+        budget = OracleBudget(max_vertices=8)
+        digraphs = itertools.chain(
+            enumerate_digraphs(4),
+            sample_digraphs(6, 2000, seed=61, arc_probability=0.2),
+            sample_digraphs(8, 2000, seed=67, arc_probability=0.2),
+        )
+        checked = found = 0
+        disagreements = []
+        for d in digraphs:
+            checked += 1
+            f = decide_weak(d)
+            uniform = _decide_uniform(d)
+            oracle = oracle_forest(d, ForestKind.WEAK_PERFECT, budget)
+            if not (f is None) == (uniform is None) == (oracle is None):
+                disagreements.append(d)
+            elif f is not None:
+                found += 1
+                if not verify(d, f, ForestKind.WEAK_PERFECT).passed:
+                    disagreements.append(d)
+        assert checked == 4096 + 2 * 2000
+        assert 0 < found < checked
+        assert disagreements == []
+
+    def test_failed_check_raises_package_error(self, monkeypatch):
+        monkeypatch.setattr(
+            construct,
+            "verify",
+            lambda d, f, kind: VerificationReport((("even-degree", (0,)),)),
+        )
+        with pytest.raises(InvariantError):
+            decide_weak(TWO_CYCLE)
 
 
 class TestDecideWeak:
