@@ -298,57 +298,20 @@ def decide_weak(d: Digraph) -> OutForest | None:
 def even_tree_to_weak(t: OutTree) -> OutForest:
     """Weak perfect out-forest spanning V(t) using only arcs of t.
 
-    Peels the tree from the bottom: take a deepest vertex u with parent v
-    (all of v's children are then leaves); if v has another leaf child w,
-    split off the arcs vu and vw, else u is v's only child and {v,u}
-    becomes a two-vertex tree.  Ties break to the minimum index.  Vertices
-    of the host outside V(t) stay singleton roots.
+    The arc into c is kept exactly when the subtree of c has odd order,
+    and no other choice of tree arcs works.  In a forest F of tree arcs
+    where every vertex of V(t) has odd degree, the degrees inside
+    subtree(c) add up to |subtree(c)| mod 2; they also add up to twice the
+    F-arcs inside subtree(c), plus one if F keeps the arc into c.
+    Vertices of the host outside V(t) stay singleton roots.
     """
     if t.order() % 2 == 1:
         raise OddOrder(f"tree has odd order {t.order()}")
-    parent = dict(t.parent)
-    root = t.root
-    out: dict[int, int] = {}
-
-    def depths() -> dict[int, int]:
-        children: dict[int, list[int]] = {}
-        for c, p in parent.items():
-            children.setdefault(p, []).append(c)
-        dep = {root: 0}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for c in children.get(v, ()):
-                dep[c] = dep[v] + 1
-                stack.append(c)
-        return dep
-
-    while len(parent) + 1 > 2:
-        dep = depths()
-        deepest = max(dep.values())
-        u = min(v for v in dep if dep[v] == deepest)
-        v = parent[u]
-        children_v = sorted(c for c, p in parent.items() if p == v)
-        leaf_sibs = [w for w in children_v if w != u]
-        if leaf_sibs:
-            w = leaf_sibs[0]
-            del parent[u]
-            del parent[w]
-            out[u] = v
-            out[w] = v
-        else:
-            del parent[u]
-            if v == root:
-                # impossible for order > 2: u deepest forces depth 1
-                raise AssertionError("root lost its only child early")
-            del parent[v]
-            out[u] = v
-    if parent:
-        # the remaining two-vertex tree is itself weak perfect
-        ((c_, p_),) = parent.items()
-        out[c_] = p_
-    f = OutForest(t.n, out)
-    return f
+    order = t.bfs_order()
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[t.parent[v]] += size[v]
+    return OutForest(t.n, {c: p for c, p in t.parent.items() if size[c] % 2})
 
 
 def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
@@ -362,37 +325,29 @@ def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
     report = verify(d, f, ForestKind.WEAK_PERFECT)
     if not report.passed:
         raise NotWeakPerfect(report.to_json())
+    arcs = d.sorted_arcs()
     for _ in range(d.n + 1):
         swap = None
-        for arc in d.sorted_arcs():
+        for arc in arcs:
             if classify_arc(d, f, arc) in (ArcClass.FORWARD, ArcClass.CROSS):
                 swap = arc
                 break
         if swap is None:
             return f
         u, v = swap
-        up_u = _chain_to_root(f, u)
-        up_v = _chain_to_root(f, v)
-        in_u = set(up_u)
-        lca = next(x for x in up_v if x in in_u)
         parent = dict(f.parent)
-        for x in up_u[: up_u.index(lca)]:
-            del parent[x]
-        for x in up_v[: up_v.index(lca)]:
-            del parent[x]
+        # climb from the deeper endpoint until the two meet at the LCA
+        a, b = u, v
+        while a != b:
+            if f.depth[a] < f.depth[b]:
+                a, b = b, a
+            del parent[a]
+            a = f.parent[a]
         parent[v] = u
         f = OutForest(f.n, parent)
     # unreachable: each swap removes at least one arc and a weak perfect
     # out-forest has at least n/2 of them
-    raise AssertionError("swap loop exceeded the n-iteration bound")
-
-
-def _chain_to_root(f: OutForest, v: int) -> list[int]:
-    chain = [v]
-    while v in f.parent:
-        v = f.parent[v]
-        chain.append(v)
-    return chain
+    raise InvariantError("swap loop exceeded the n-iteration bound")
 
 
 def construct_for_single_initial(d: Digraph) -> OutForest:

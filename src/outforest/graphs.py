@@ -129,7 +129,6 @@ class OutTree:
 
     def __post_init__(self):
         object.__setattr__(self, "parent", dict(self.parent))
-        verts = self.vertices()
         if not (0 <= self.root < self.n):
             raise ValueError("root out of range")
         if self.root in self.parent:
@@ -139,14 +138,9 @@ class OutTree:
                 raise ValueError("tree vertex out of range")
             if p != self.root and p not in self.parent:
                 raise ValueError(f"parent {p} of {c} is not a tree vertex")
-        # acyclicity: every vertex must reach the root by parent pointers
-        for v in verts:
-            seen = set()
-            while v != self.root:
-                if v in seen:
-                    raise ValueError("cycle in parent relation")
-                seen.add(v)
-                v = self.parent[v]
+        # acyclicity: a walk down from the root must reach every vertex
+        if len(self.bfs_order()) < self.order():
+            raise ValueError("cycle in parent relation")
 
     def vertices(self) -> set[int]:
         return {self.root} | set(self.parent)
@@ -156,6 +150,16 @@ class OutTree:
 
     def arcs(self) -> set[Arc]:
         return {(p, c) for c, p in self.parent.items()}
+
+    def bfs_order(self) -> list[int]:
+        """Vertices reachable from the root, each listed after its parent."""
+        children: dict[int, list[int]] = {}
+        for c, p in self.parent.items():
+            children.setdefault(p, []).append(c)
+        order = [self.root]
+        for v in order:
+            order.extend(children.get(v, ()))
+        return order
 
 
 # ---------------------------------------------------------------------------

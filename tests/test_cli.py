@@ -8,13 +8,14 @@ import pytest
 
 import outforest
 from outforest import (
+    ArcClass,
     ForestKind,
     VerificationReport,
     parse_digraph,
     parse_forest,
     verify,
 )
-from outforest import cli
+from outforest import cli, construct
 from outforest.cli import run
 
 TWO_CYCLE = "2 2\n0 1\n1 0\n"
@@ -113,6 +114,13 @@ class TestInvariantChecks:
             lambda d, f, kind: VerificationReport((("even-degree", (0,)),)),
         )
         assert run(["decide", "--kind", "weak-perfect", twocycle]) == 3
+        assert "internal error" in capsys.readouterr().err
+
+    def test_endless_swap_loop_is_internal_error(self, monkeypatch, twocycle, capsys):
+        monkeypatch.setattr(
+            construct, "classify_arc", lambda d, f, arc: ArcClass.CROSS
+        )
+        assert run(["decide", "--kind", "almost-perfect", twocycle]) == 3
         assert "internal error" in capsys.readouterr().err
 
 

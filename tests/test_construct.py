@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -311,6 +312,28 @@ class TestEvenTreeToWeak:
         assert f.arcs() <= t.arcs()
         host = Digraph(t.n, frozenset(t.arcs()))
         assert verify(host, f, ForestKind.WEAK_PERFECT).passed
+
+    def test_unique_odd_split_brute_force(self):
+        rng = random.Random(31)
+        for trial in range(300):
+            order = rng.choice([2, 4, 6, 8, 10])
+            n = order + (rng.randint(1, 4) if trial % 2 else 0)
+            verts = rng.sample(range(n), order)
+            parent = {v: verts[rng.randrange(i)] for i, v in enumerate(verts) if i}
+            t = OutTree(n, verts[0], parent)
+            tree_arcs = sorted(t.arcs())
+            odd_splits = []
+            for k in range(len(tree_arcs) + 1):
+                for subset in itertools.combinations(tree_arcs, k):
+                    deg = dict.fromkeys(verts, 0)
+                    for (p, c) in subset:
+                        deg[p] += 1
+                        deg[c] += 1
+                    if all(x % 2 for x in deg.values()):
+                        odd_splits.append(set(subset))
+            f = even_tree_to_weak(t)
+            assert odd_splits == [f.arcs()], t
+            assert set(f.roots) >= set(range(n)) - set(verts)
 
 
 class TestWeakToAlmost:

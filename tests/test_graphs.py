@@ -5,9 +5,11 @@ from conftest import digraphs, reachable, ugraphs
 from outforest import (
     ConnectivityClass,
     Digraph,
+    OutTree,
     UGraph,
     bidirect,
     classify,
+    even_tree_to_weak,
     find_universal_root,
     format_digraph,
     parse_digraph,
@@ -152,6 +154,22 @@ class TestSpanningOutTree:
         assert t.vertices() == set(range(d.n))
         assert len(t.arcs()) == d.n - 1
         assert t.arcs() <= d.arcs
+
+
+class TestOutTree:
+    def test_cycle_off_the_root_rejected(self):
+        with pytest.raises(ValueError, match="cycle"):
+            OutTree(3, 0, {1: 2, 2: 1})
+
+    def test_parent_outside_tree_rejected(self):
+        with pytest.raises(ValueError, match="not a tree vertex"):
+            OutTree(4, 0, {1: 0, 2: 3})
+
+    def test_long_path_split(self):
+        n = 5000
+        path = Digraph(n, {(i, i + 1) for i in range(n - 1)})
+        f = even_tree_to_weak(spanning_out_tree(path, 0))
+        assert f.arcs() == {(2 * i, 2 * i + 1) for i in range(n // 2)}
 
 
 class TestUniversalRoot:
