@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Search small digraphs for cases where the weak-to-almost rewriting loop
+"""Search small digraphs for cases where the weak-to-almost rewriting pass
 actually has to perform a swap (on most small inputs the gadget already
 returns an almost perfect forest).
 

@@ -39,7 +39,6 @@ from .forests import (
 )
 from .graphs import (
     Arc,
-    ConnectivityClass,
     Digraph,
     Edge,
     OutTree,
@@ -317,24 +316,22 @@ def even_tree_to_weak(t: OutTree) -> OutForest:
 def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
     """Rewrite a weak perfect out-forest into an almost perfect one.
 
-    While some arc (u,v) of d is a forward or cross arc of f: remove the
-    arcs of the unique underlying-tree path from u to v and add (u,v).
-    The arc count strictly decreases each time, so this terminates.
-    Arcs are scanned in ascending (tail, head) order each iteration.
+    One pass over the arcs of d in ascending (tail, head) order: whenever
+    the arc (u,v) is a forward or cross arc of the current forest, remove
+    the arcs of the unique underlying-tree path from u to v and add (u,v).
+    One pass suffices because a tree, backward or inter-tree arc stays in
+    that set after any swap, so no arc already passed turns forbidden:
+    a tree arc whose path is removed becomes an inter-tree arc; a backward
+    arc keeps its ancestor or has its endpoints land in different trees;
+    trees only split, except that the piece of v rejoins the tree of u.
+    The result is checked to be almost perfect (InvariantError if not).
     """
     report = verify(d, f, ForestKind.WEAK_PERFECT)
     if not report.passed:
         raise NotWeakPerfect(report.to_json())
-    arcs = d.sorted_arcs()
-    for _ in range(d.n + 1):
-        swap = None
-        for arc in arcs:
-            if classify_arc(d, f, arc) in (ArcClass.FORWARD, ArcClass.CROSS):
-                swap = arc
-                break
-        if swap is None:
-            return f
-        u, v = swap
+    for (u, v) in d.sorted_arcs():
+        if classify_arc(d, f, (u, v)) not in (ArcClass.FORWARD, ArcClass.CROSS):
+            continue
         parent = dict(f.parent)
         # climb from the deeper endpoint until the two meet at the LCA
         a, b = u, v
@@ -345,23 +342,20 @@ def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
             a = f.parent[a]
         parent[v] = u
         f = OutForest(f.n, parent)
-    # unreachable: each swap removes at least one arc and a weak perfect
-    # out-forest has at least n/2 of them
-    raise InvariantError("swap loop exceeded the n-iteration bound")
+    report = verify(d, f, ForestKind.ALMOST_PERFECT)
+    if not report.passed:
+        raise InvariantError(f"swap pass left a forbidden arc: {report.to_json()}")
+    return f
 
 
 def construct_for_single_initial(d: Digraph) -> OutForest:
     """Almost perfect out-forest of an even digraph with a single initial
     strong component: spanning out-tree -> even-tree split -> arc swaps."""
-    cls = classify(d)
-    if cls not in (
-        ConnectivityClass.STRONGLY_CONNECTED_EVEN,
-        ConnectivityClass.SINGLE_INITIAL_EVEN,
-    ):
-        raise WrongClass(f"need a single initial component and even order, got {cls.value}")
     root = find_universal_root(d)
-    if root is None:
-        raise InvariantError(f"class {cls.value} but no vertex reaches all others")
+    if root is None or d.n % 2:
+        raise WrongClass(
+            f"need a single initial component and even order, got {classify(d).value}"
+        )
     tree = spanning_out_tree(d, root)
     return weak_to_almost(d, even_tree_to_weak(tree))
 

@@ -358,26 +358,25 @@ def classify(d: Digraph) -> ConnectivityClass:
         return ConnectivityClass.DISCONNECTED
     if d.n % 2 == 1:
         return ConnectivityClass.CONNECTED_ODD
-    comps = strongly_connected_components(d)
-    if len(comps) == 1:
+    init = initial_components(d)
+    if len(init) != 1:
+        return ConnectivityClass.CONNECTED_EVEN
+    if len(init[0]) == d.n:
         return ConnectivityClass.STRONGLY_CONNECTED_EVEN
-    if len(initial_components(d)) == 1:
-        return ConnectivityClass.SINGLE_INITIAL_EVEN
-    return ConnectivityClass.CONNECTED_EVEN
+    return ConnectivityClass.SINGLE_INITIAL_EVEN
 
 
 def find_universal_root(d: Digraph) -> int | None:
-    """A vertex from which every vertex is reachable, if one exists.
+    """The minimum-index vertex from which every vertex is reachable, or
+    None if there is none.
 
-    Returns the minimum-index vertex of the unique initial strong component
-    of a connected digraph, else None.
+    Such vertices exist exactly when d has a single initial strong
+    component, and they are its vertices: the condensation is acyclic, so
+    every component is reachable from some initial one, and an initial
+    component is reachable only from its own vertices.
     """
-    if d.n == 0 or not underlying_graph(d).is_connected():
-        return None
     init = initial_components(d)
-    if len(init) != 1:
-        return None
-    return init[0][0]
+    return init[0][0] if len(init) == 1 else None
 
 
 def spanning_out_tree(d: Digraph, root: int) -> OutTree:

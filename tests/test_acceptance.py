@@ -231,7 +231,7 @@ def test_criterion_8_lemma_pipelines():
         if f is None:
             continue
         pairs += 1
-        # weak_to_almost raises internally if it exceeds n iterations
+        # weak_to_almost raises internally if its result is not almost perfect
         f2 = weak_to_almost(d, f)
         if not verify(d, f2, ForestKind.ALMOST_PERFECT).passed:
             failures += 1

@@ -116,11 +116,13 @@ class TestInvariantChecks:
         assert run(["decide", "--kind", "weak-perfect", twocycle]) == 3
         assert "internal error" in capsys.readouterr().err
 
-    def test_endless_swap_loop_is_internal_error(self, monkeypatch, twocycle, capsys):
+    def test_swap_pass_fault_is_internal_error(self, monkeypatch, tmp_path, capsys):
+        graph = tmp_path / "g.dg"
+        graph.write_text(SWAP_WITNESS)
         monkeypatch.setattr(
-            construct, "classify_arc", lambda d, f, arc: ArcClass.CROSS
+            construct, "classify_arc", lambda d, f, arc: ArcClass.TREE
         )
-        assert run(["decide", "--kind", "almost-perfect", twocycle]) == 3
+        assert run(["decide", "--kind", "almost-perfect", str(graph)]) == 3
         assert "internal error" in capsys.readouterr().err
 
 

@@ -23,6 +23,7 @@ from outforest import (
     decide_weak,
     enumerate_digraphs,
     even_tree_to_weak,
+    find_universal_root,
     forest_to_matching,
     matching_to_arcset,
     maximum_matching,
@@ -30,6 +31,7 @@ from outforest import (
     perfect_forest_undirected,
     remove_cycles,
     sample_digraphs,
+    spanning_out_tree,
     verify,
     weak_to_almost,
 )
@@ -336,6 +338,29 @@ class TestEvenTreeToWeak:
             assert set(f.roots) >= set(range(n)) - set(verts)
 
 
+def _rescanning_weak_to_almost(d, f):
+    """Reference: the rescanning loop that weak_to_almost's single pass
+    replaced.  After every swap it searches again from the first arc.
+    Returns the forest and the number of swaps."""
+    forbidden = (ArcClass.FORWARD, ArcClass.CROSS)
+    arcs = d.sorted_arcs()
+    for swaps in range(d.n + 1):
+        swap = next((a for a in arcs if classify_arc(d, f, a) in forbidden), None)
+        if swap is None:
+            return f, swaps
+        u, v = swap
+        parent = dict(f.parent)
+        a, b = u, v
+        while a != b:
+            if f.depth[a] < f.depth[b]:
+                a, b = b, a
+            del parent[a]
+            a = f.parent[a]
+        parent[v] = u
+        f = OutForest(f.n, parent)
+    raise AssertionError("reference swap loop did not terminate")
+
+
 class TestWeakToAlmost:
     def test_already_almost_unchanged(self):
         d = Digraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
@@ -357,6 +382,42 @@ class TestWeakToAlmost:
     def test_rejects_non_weak(self):
         with pytest.raises(NotWeakPerfect):
             weak_to_almost(PATH4, OutForest(4, {1: 0, 2: 1, 3: 2}))
+
+    def test_swap_pass_fault_raises(self, monkeypatch):
+        f = decide_weak(SWAP_WITNESS)
+        monkeypatch.setattr(construct, "classify_arc", lambda d, f, arc: ArcClass.TREE)
+        with pytest.raises(InvariantError):
+            weak_to_almost(SWAP_WITNESS, f)
+
+    def test_single_pass_matches_rescanning_loop(self):
+        rng = random.Random(41)
+        pairs = swapped = 0
+        while pairs < 2000:  # gadget forests, orders 4-12
+            n = rng.randrange(4, 13, 2)
+            slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+            d = Digraph(n, frozenset(a for a in slots if rng.random() < 0.5))
+            f = decide_weak(d)
+            if f is None:
+                continue
+            expected, swaps = _rescanning_weak_to_almost(d, f)
+            assert weak_to_almost(d, f) == expected, d
+            pairs += 1
+            swapped += swaps > 0
+        for trial in range(2400):  # tree-split forests, orders 2-40
+            n = rng.randrange(2, 41, 2)
+            arcs = {(rng.randrange(i), i) for i in range(1, n)}
+            arcs |= {(u, v) for u in range(n) for v in range(n)
+                     if u != v and rng.random() < 2 / n}
+            if trial % 3 == 0:
+                arcs |= {(v, u) for (u, v) in arcs}
+            perm = rng.sample(range(n), n)
+            d = Digraph(n, frozenset((perm[u], perm[v]) for (u, v) in arcs))
+            f = even_tree_to_weak(spanning_out_tree(d, find_universal_root(d)))
+            expected, swaps = _rescanning_weak_to_almost(d, f)
+            assert weak_to_almost(d, f) == expected, d
+            pairs += 1
+            swapped += swaps > 0
+        assert 2 * swapped >= pairs, (swapped, pairs)
 
     def test_arc_count_never_increases(self):
         for d in sample_digraphs(6, 30, seed=17):

@@ -9,6 +9,7 @@ from outforest import (
     UGraph,
     bidirect,
     classify,
+    enumerate_digraphs,
     even_tree_to_weak,
     find_universal_root,
     format_digraph,
@@ -122,6 +123,29 @@ class TestClassify:
         universal = any(len(reachable(d, u)) == d.n for u in range(d.n))
         if label is ConnectivityClass.SINGLE_INITIAL_EVEN:
             assert universal and not strong
+
+
+class TestConnectivitySpec:
+    """classify and find_universal_root against their definitions, by
+    plain BFS, on every digraph of order 0-4."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_exhaustive(self, n):
+        for d in enumerate_digraphs(n):
+            universal = [u for u in range(n) if len(reachable(d, u)) == n]
+            assert find_universal_root(d) == min(universal, default=None), d
+            both_ways = Digraph(n, d.arcs | {(v, u) for (u, v) in d.arcs})
+            if n == 0 or len(reachable(both_ways, 0)) < n:
+                expected = ConnectivityClass.DISCONNECTED
+            elif n % 2:
+                expected = ConnectivityClass.CONNECTED_ODD
+            elif len(universal) == n:
+                expected = ConnectivityClass.STRONGLY_CONNECTED_EVEN
+            elif universal:
+                expected = ConnectivityClass.SINGLE_INITIAL_EVEN
+            else:
+                expected = ConnectivityClass.CONNECTED_EVEN
+            assert classify(d) is expected, d
 
 
 class TestSpanningOutTree:
