@@ -29,14 +29,7 @@ from .errors import (
     OddOrder,
     WrongClass,
 )
-from .forests import (
-    ArcClass,
-    ForestKind,
-    OutForest,
-    classify_arc,
-    extract_perfect_forest,
-    verify,
-)
+from .forests import ForestKind, OutForest, verify
 from .graphs import (
     Arc,
     Digraph,
@@ -324,24 +317,31 @@ def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
     a tree arc whose path is removed becomes an inter-tree arc; a backward
     arc keeps its ancestor or has its endpoints land in different trees;
     trees only split, except that the piece of v rejoins the tree of u.
-    The result is checked to be almost perfect (InvariantError if not).
+    The pass edits one parent map and builds a single forest at the end,
+    which is checked to be almost perfect (InvariantError if not).
     """
     report = verify(d, f, ForestKind.WEAK_PERFECT)
     if not report.passed:
         raise NotWeakPerfect(report.to_json())
+    parent = dict(f.parent)
     for (u, v) in d.sorted_arcs():
-        if classify_arc(d, f, (u, v)) not in (ArcClass.FORWARD, ArcClass.CROSS):
+        above_u = {u}
+        a = u
+        while a in parent:
+            a = parent[a]
+            above_u.add(a)
+        # climb from v to the LCA w; no w means an inter-tree arc, w == v
+        # a backward one.  A tree arc (w == u, path v) is swapped for itself.
+        w = v
+        while w not in above_u and w in parent:
+            w = parent[w]
+        if w == v or w not in above_u:
             continue
-        parent = dict(f.parent)
-        # climb from the deeper endpoint until the two meet at the LCA
-        a, b = u, v
-        while a != b:
-            if f.depth[a] < f.depth[b]:
-                a, b = b, a
-            del parent[a]
-            a = f.parent[a]
+        for a in (u, v):
+            while a != w:
+                a = parent.pop(a)
         parent[v] = u
-        f = OutForest(f.n, parent)
+    f = OutForest(f.n, parent)
     report = verify(d, f, ForestKind.ALMOST_PERFECT)
     if not report.passed:
         raise InvariantError(f"swap pass left a forbidden arc: {report.to_json()}")
@@ -362,10 +362,14 @@ def construct_for_single_initial(d: Digraph) -> OutForest:
 
 def perfect_forest_undirected(g: UGraph) -> set[Edge] | None:
     """Perfect forest of a connected undirected graph of even order, via
-    bidirection; None for odd order or disconnected input."""
+    bidirection; None for odd order or disconnected input.
+
+    weak_to_almost has already checked the forest almost perfect, which in
+    a bidirected digraph makes it perfect (see extract_perfect_forest).
+    """
     if g.n == 0:
         return set()
     if g.n % 2 == 1 or not g.is_connected():
         return None
     f = construct_for_single_initial(bidirect(g))
-    return extract_perfect_forest(g, f)
+    return {(min(p, c), max(p, c)) for (p, c) in f.arcs()}

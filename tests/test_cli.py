@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 
 import outforest
+from conftest import check_undirected_perfect_forest
 from outforest import (
-    ArcClass,
     ForestKind,
+    OutForest,
     VerificationReport,
     parse_digraph,
     parse_forest,
+    parse_ugraph,
     verify,
 )
 from outforest import cli, construct
@@ -21,7 +23,9 @@ from outforest.cli import run
 TWO_CYCLE = "2 2\n0 1\n1 0\n"
 PATH4 = "4 3\n0 1\n1 2\n2 3\n"
 INWARD_STAR = "4 3\n1 0\n2 0\n3 0\n"
-# decide_weak's forest for this digraph needs a swap to become almost perfect
+# decide_weak's forest for this digraph needs a swap to become almost perfect;
+# read as an undirected graph, its even-tree split is the star at 0, which
+# `scott` must swap along the cross arc (1,2)
 SWAP_WITNESS = "4 4\n0 1\n1 2\n0 2\n0 3\n"
 
 
@@ -95,17 +99,25 @@ class TestInvariantChecks:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "outforest.cli", "decide",
-             "--kind", "almost-perfect", str(graph)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+
+        def run_optimized(*argv):
+            return subprocess.run(
+                [sys.executable, "-O", "-m", "outforest.cli", *argv, str(graph)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        proc = run_optimized("decide", "--kind", "almost-perfect")
         assert proc.returncode == code, proc.stderr
         if code == 0:
             f = parse_forest(proc.stdout)
             assert verify(parse_digraph(text), f, ForestKind.ALMOST_PERFECT).passed
         else:
             assert "no almost-perfect out-forest" in proc.stdout
+        # read as an undirected graph every input is connected and even
+        proc = run_optimized("scott")
+        assert proc.returncode == 0, proc.stderr
+        edges = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()[1:]]
+        assert check_undirected_perfect_forest(parse_ugraph(text), edges)
 
     def test_failed_check_is_internal_error(self, monkeypatch, twocycle, capsys):
         monkeypatch.setattr(
@@ -117,12 +129,17 @@ class TestInvariantChecks:
         assert "internal error" in capsys.readouterr().err
 
     def test_swap_pass_fault_is_internal_error(self, monkeypatch, tmp_path, capsys):
-        graph = tmp_path / "g.dg"
+        graph = tmp_path / "g.ug"
         graph.write_text(SWAP_WITNESS)
-        monkeypatch.setattr(
-            construct, "classify_arc", lambda d, f, arc: ArcClass.TREE
-        )
-        assert run(["decide", "--kind", "almost-perfect", str(graph)]) == 3
+        built = []
+
+        def first_forest(n, parent):
+            # every forest after the even-tree split loses the swaps
+            built.append(OutForest(n, parent))
+            return built[0]
+
+        monkeypatch.setattr(construct, "OutForest", first_forest)
+        assert run(["scott", str(graph)]) == 3
         assert "internal error" in capsys.readouterr().err
 
 
@@ -165,6 +182,13 @@ class TestGadgetMatchScott:
         sidecar = side.read_text()
         assert "block 0 0 3 0" in sidecar
         assert "pair 1 2" in sidecar
+
+    def test_gadget_size_guard(self, tmp_path, capsys):
+        n = 1001
+        graph = tmp_path / "cycle.dg"
+        graph.write_text(f"{n} {n}\n" + "".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
+        assert run(["gadget", str(graph)]) == 2
+        assert "over the limit" in capsys.readouterr().err
 
     def test_match(self, tmp_path, capsys):
         g = tmp_path / "tri.ug"
@@ -217,6 +241,19 @@ class TestOracleCommand:
     def test_oracle_budget_flag(self, twocycle, capsys):
         assert run(["oracle", "--kind", "even", "--max-vertices", "1", twocycle]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_and_flags_do_not_leak(self, twocycle, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        assert run(["decide", "--kind", "weak-perfect", "--json", "--dot", twocycle]) == 0
+        assert run(["oracle", "--kind", "perfect", "--max-vertices", "1", twocycle]) == 2
+        capsys.readouterr()
+        assert run(["decide", "--kind", "weak-perfect", twocycle]) == 0
+        assert capsys.readouterr().out.startswith("root 0\n")
+        assert run(["oracle", "--kind", "even", twocycle]) == 0
+        assert run(["decide", "--kind", "perfect", twocycle]) == 2
+        assert "NP-hard" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -17,6 +17,7 @@ from outforest import (
     OutTree,
     UGraph,
     VerificationReport,
+    bidirect,
     build_gadget,
     classify_arc,
     construct_for_single_initial,
@@ -385,9 +386,25 @@ class TestWeakToAlmost:
 
     def test_swap_pass_fault_raises(self, monkeypatch):
         f = decide_weak(SWAP_WITNESS)
-        monkeypatch.setattr(construct, "classify_arc", lambda d, f, arc: ArcClass.TREE)
+        # the final forest loses the swaps: the postcondition must catch it
+        monkeypatch.setattr(construct, "OutForest", lambda n, parent: f)
         with pytest.raises(InvariantError):
             weak_to_almost(SWAP_WITNESS, f)
+
+    def test_pass_builds_one_forest(self, monkeypatch):
+        # the star needs two swaps, (1,2) and (3,4)
+        g = UGraph(6, {(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (3, 4)})
+        star = OutForest(6, {v: 0 for v in range(1, 6)})
+        built = []
+
+        def counting_forest(n, parent):
+            built.append(n)
+            return OutForest(n, parent)
+
+        monkeypatch.setattr(construct, "OutForest", counting_forest)
+        f = weak_to_almost(bidirect(g), star)
+        assert f == OutForest(6, {2: 1, 4: 3, 5: 0})
+        assert len(built) == 1
 
     def test_single_pass_matches_rescanning_loop(self):
         rng = random.Random(41)
