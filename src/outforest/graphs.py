@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DuplicateArc,
@@ -43,24 +44,35 @@ class Digraph:
             if u == v:
                 raise ValueError(f"self-loop ({u},{u})")
 
+    # The three views below are computed once per digraph and shared by
+    # every caller, which must not mutate them.
+
     def out_neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (u, v) in self.arcs:
-            adj[u].append(v)
-        for a in adj:
-            a.sort()
-        return adj
+        return self._out_neighbors
 
     def in_neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (u, v) in self.arcs:
-            adj[v].append(u)
-        for a in adj:
-            a.sort()
-        return adj
+        return self._in_neighbors
 
     def sorted_arcs(self) -> list[Arc]:
+        return self._sorted_arcs
+
+    @cached_property
+    def _sorted_arcs(self) -> list[Arc]:
         return sorted(self.arcs)
+
+    @cached_property
+    def _out_neighbors(self) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for (u, v) in self._sorted_arcs:
+            adj[u].append(v)
+        return adj
+
+    @cached_property
+    def _in_neighbors(self) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for (u, v) in self._sorted_arcs:
+            adj[v].append(u)
+        return adj
 
 
 @dataclass(frozen=True)
@@ -167,9 +179,11 @@ class OutTree:
 
 
 def _parse_edge_list(text: str, directed: bool):
+    """Header and pairs of the edge-list format, each pair checked with
+    its line number.  Returns n and the pairs, as (min, max) when
+    undirected."""
     n = None
     m = None
-    pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     header_done = False
     expected = 0
@@ -190,7 +204,7 @@ def _parse_edge_list(text: str, directed: bool):
             header_done = True
             expected = m
             continue
-        if len(pairs) >= expected:
+        if len(seen) >= expected:
             raise MalformedLine("more lines than declared in header", lineno)
         if len(parts) != 2:
             raise MalformedLine("expected two vertex indices", lineno)
@@ -207,25 +221,29 @@ def _parse_edge_list(text: str, directed: bool):
             kind = "arc" if directed else "edge"
             raise DuplicateArc(f"duplicate {kind} ({u},{v})", lineno)
         seen.add(key)
-        pairs.append((u, v))
     if not header_done:
         raise MalformedLine("missing header 'n m'", 1)
-    if len(pairs) != expected:
+    if len(seen) != expected:
         raise MalformedLine(
-            f"declared {expected} lines, found {len(pairs)}", 1
+            f"declared {expected} lines, found {len(seen)}", 1
         )
-    return n, pairs
+    return n, frozenset(seen)
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format: header "n m", then m lines "tail head"."""
-    n, pairs = _parse_edge_list(text, directed=True)
-    return Digraph(n, frozenset(pairs))
+    n, arcs = _parse_edge_list(text, directed=True)
+    return Digraph(n, arcs)
 
 
 def parse_ugraph(text: str) -> UGraph:
-    n, pairs = _parse_edge_list(text, directed=False)
-    return UGraph(n, frozenset(pairs))
+    n, edges = _parse_edge_list(text, directed=False)
+    # every edge is already checked and normalised, so UGraph's own checks
+    # (__post_init__) would only repeat the parser's
+    g = object.__new__(UGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
+    return g
 
 
 def format_digraph(d: Digraph) -> str:

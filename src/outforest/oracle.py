@@ -2,7 +2,9 @@
 enumeration, exact matching by branch-and-bound, digraph/graph enumeration
 and seeded sampling, and a brute-force 3DM solver.
 
-These exist to be obviously correct on small instances, not fast.
+These exist to be obviously correct on small instances, not fast.  The
+forest search prunes only branches that provably hold no answer, and
+still checks every forest it returns against the definition.
 """
 
 from __future__ import annotations
@@ -37,12 +39,33 @@ def oracle_forest(
     """First spanning out-forest of the requested kind in enumeration
     order, or None.
 
-    Search space: each vertex picks root-or-parent (root first, then
-    in-neighbors ascending); assignments closing a directed cycle are
-    pruned.  For the Perfect kind an extra sound prune rejects partial
-    assignments in which two vertices share a tree but are joined by an
-    arc that can no longer be a tree arc (tree membership never splits,
-    so such a violation is permanent).
+    Search space: vertices 0..n-1 are assigned in turn, each to root or
+    to a parent (root first, then in-neighbors ascending).  A parent
+    that already descends from the vertex would close a directed cycle
+    and is skipped.  Each tree of the partial assignment is kept as one
+    bitmask: its assigned vertices together with their parents still to
+    be assigned.
+
+    Two prunes cut a branch only when no leaf below it can pass, so the
+    first forest found is the one the plain enumeration finds:
+
+    - Induced (Perfect): every arc of d inside a tree must be a tree arc.
+      Trees only grow and an assigned vertex keeps its parent, so a
+      violation is permanent.  It can only appear when two trees merge
+      or when the arc's head is assigned, and both happen at the vertex
+      just assigned.  So only that vertex's tree is checked, one AND per
+      assigned vertex in it.
+    - Parity (all kinds but Even): every degree must be odd.  A vertex's
+      forest degree is final once it and all its out-neighbors (its only
+      possible children) are assigned, and it is checked at exactly that
+      step.
+
+    Every leaf is still checked against the definition with `verify`.
+    For Perfect and Weak perfect the prunes are complete, so every leaf
+    reached passes; Almost perfect leaves can still fail on a forbidden
+    arc and Even leaves on an odd tree.  `max_states` counts the same
+    events as the unpruned enumeration (one per candidate tried), of
+    which fewer now occur.
     """
     n = d.n
     if n > budget.max_vertices:
@@ -54,45 +77,39 @@ def oracle_forest(
     )
     in_nbrs = d.in_neighbors()
     candidates = [[None] + in_nbrs[v] for v in range(n)]
-    arcs = d.sorted_arcs()
+    in_mask = [sum(1 << a for a in in_nbrs[v]) for v in range(n)]
+    induced = kind is ForestKind.PERFECT
+    # finishing[v]: the vertices whose degree is final once v is assigned
+    finishing: list[list[int]] = [[] for _ in range(n)]
+    if kind is not ForestKind.EVEN:
+        for w, outs in enumerate(d.out_neighbors()):
+            finishing[max([w, *outs])].append(w)
     parent: list[int | None] = [None] * n
-    assigned = [False] * n
+    children = [0] * n
+    # stray[b]: in-neighbors of an assigned b that must not share its tree
+    stray = [0] * n
+    # tree[t]: the tree whose top is t, a root or a vertex not yet
+    # assigned; vertices below v are the assigned ones
+    tree = [1 << v for v in range(n)]
     states = 0
-    induced_prune = kind is ForestKind.PERFECT
 
-    def creates_cycle(v: int, p: int) -> bool:
-        x: int | None = p
-        while x is not None:
-            if x == v:
+    def pruned(v: int, merged: int) -> bool:
+        for w in finishing[v]:
+            if (children[w] + (parent[w] is not None)) % 2 == 0:
                 return True
-            x = parent[x] if assigned[x] else None
-        return False
-
-    def comp_labels() -> list[int]:
-        lab = list(range(n))
-
-        def find(x: int) -> int:
-            while lab[x] != x:
-                lab[x] = lab[lab[x]]
-                x = lab[x]
-            return x
-
-        for v in range(n):
-            if assigned[v] and parent[v] is not None:
-                lab[find(v)] = find(parent[v])
-        return [find(v) for v in lab]
-
-    def induced_violation() -> bool:
-        lab = comp_labels()
-        for (a, b) in arcs:
-            if lab[a] == lab[b] and assigned[b] and parent[b] != a:
-                return True
+        if induced:
+            members = merged & ((2 << v) - 1)  # its vertices 0..v
+            while members:
+                low = members & -members
+                if stray[low.bit_length() - 1] & merged:
+                    return True
+                members ^= low
         return False
 
     def search(v: int) -> OutForest | None:
         nonlocal states
         if v == n:
-            f = OutForest(n, {i: p for i, p in enumerate(parent) if p is not None})
+            f = OutForest(n, {c: p for c, p in enumerate(parent) if p is not None})
             if verify(d, f, kind).passed:
                 return f
             return None
@@ -103,16 +120,28 @@ def oracle_forest(
             if deadline is not None and states % 4096 == 0:
                 if time.monotonic() > deadline:
                     raise BudgetExceeded("enumeration exceeded the time limit")
-            if cand is not None and creates_cycle(v, cand):
-                continue
+            if cand is None:
+                top = v
+                stray[v] = in_mask[v]
+            else:
+                if (tree[v] >> cand) & 1:
+                    continue  # cand descends from v: the arc closes a cycle
+                top = cand
+                while top < v and parent[top] is not None:
+                    top = parent[top]
+                stray[v] = in_mask[v] & ~(1 << cand)
+                children[cand] += 1
             parent[v] = cand
-            assigned[v] = True
-            if not (induced_prune and induced_violation()):
+            saved = tree[top]
+            tree[top] = merged = saved | tree[v]
+            if not pruned(v, merged):
                 found = search(v + 1)
                 if found is not None:
                     return found
-            assigned[v] = False
+            tree[top] = saved
             parent[v] = None
+            if cand is not None:
+                children[cand] -= 1
         return None
 
     return search(0)
@@ -121,17 +150,24 @@ def oracle_forest(
 def oracle_matching(g: UGraph, budget: OracleBudget = OracleBudget()) -> Matching:
     """Exact maximum matching by branch-and-bound over the lowest
     uncovered vertex: leave it exposed, or match it to each free
-    neighbor."""
+    neighbor, in that order; the first strictly larger option wins.
+
+    The memo holds one size per mask of covered vertices.  The edges are
+    read back from the empty mask: the option the search kept is the
+    first one, in the same order, whose memoised size reaches the best.
+    """
     n = g.n
     if n > budget.max_vertices:
         raise BudgetExceeded(
             f"n={n} exceeds budget max_vertices={budget.max_vertices}"
         )
     adj = g.adjacency()
+    nbrs = [sum(1 << w for w in ws) for ws in adj]
+    full = (1 << n) - 1
     states = 0
-    memo: dict[int, tuple[int, frozenset]] = {}
+    memo: dict[int, int] = {}
 
-    def best(mask: int) -> tuple[int, frozenset]:
+    def best(mask: int) -> int:
         nonlocal states
         states += 1
         if states > budget.max_states:
@@ -139,23 +175,37 @@ def oracle_matching(g: UGraph, budget: OracleBudget = OracleBudget()) -> Matchin
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        v = 0
-        while v < n and (mask >> v) & 1:
-            v += 1
-        if v >= n:
-            result = (0, frozenset())
-        else:
-            # leave v exposed
-            result = best(mask | (1 << v))
-            for w in adj[v]:
-                if not (mask >> w) & 1:
-                    size, edges = best(mask | (1 << v) | (1 << w))
-                    if size + 1 > result[0]:
-                        result = (size + 1, edges | {(v, w)})
+        result = 0
+        if mask != full:
+            v = (mask + 1) & ~mask  # the lowest uncovered vertex, as a bit
+            # leave v exposed, then match it to each free neighbor ascending
+            result = best(mask | v)
+            free = nbrs[v.bit_length() - 1] & ~mask
+            while free:
+                w = free & -free
+                size = best(mask | v | w) + 1
+                if size > result:
+                    result = size
+                free ^= w
         memo[mask] = result
         return result
 
-    _, edges = best(0)
+    size = best(0)
+    edges = []
+    mask = 0
+    # every mask reached here was memoised while computing best(0)
+    while size:
+        v = ((mask + 1) & ~mask).bit_length() - 1
+        mask |= 1 << v
+        if memo[mask] == size:
+            continue  # v left exposed
+        w = next(
+            w for w in adj[v]
+            if not (mask >> w) & 1 and memo[mask | (1 << w)] == size - 1
+        )
+        edges.append((v, w))
+        mask |= 1 << w
+        size -= 1
     return Matching(frozenset(edges))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -268,3 +269,32 @@ class TestUsageErrors:
         p.write_text("2 1\n0 9\n")
         assert run(["classify", str(p)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+
+class TestScottOutputPinned:
+    """`scott --json` on the benchmark's scott-tree pools of seeds 1-3,
+    pinned byte for byte by digest."""
+
+    # seed: (sha256 of the generated inputs, sha256 of every exit code and output)
+    DIGESTS = {
+        1: ("11dfedfd33df3fb23c1209cf45f83a10eb1e102ca1a06c57a0d52f2bf8a35615",
+            "c737a90fed651dad15d3b4c2baec0726837093f633059771c30d1a9178590310"),
+        2: ("181ac4b564e8cedb6f18c043f2302a62a1cf47def186e3fd8ae31a9458b4d76f",
+            "0386377dff6007a51efd9f9819a46304642eaabae11d9cc6647b6a5eea1208f1"),
+        3: ("470c7ca6199d150b0da174ccc7f00230379a7e6f45a4fe8b3dc6492c002939ab",
+            "18c5103af77e134176e61faf767e0c9d1c06a209b95a552eb5a0022e01d6b48f"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_byte_identical(self, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import gen
+
+        manifest = gen.generate("scott-tree", seed, tmp_path)
+        inputs, outputs = self.DIGESTS[seed]
+        assert manifest["inputs_sha256"] == inputs, "the benchmark generator changed"
+        digest = hashlib.sha256()
+        for inst in manifest["instances"]:
+            code = run(["scott", "--json", str(tmp_path / inst["file"])])
+            digest.update(f"{code}\n{capsys.readouterr().out}\0".encode())
+        assert digest.hexdigest() == outputs

@@ -13,6 +13,7 @@ from outforest import (
     even_tree_to_weak,
     find_universal_root,
     format_digraph,
+    format_ugraph,
     parse_digraph,
     parse_ugraph,
     spanning_out_tree,
@@ -71,6 +72,41 @@ class TestParse:
     @given(digraphs())
     def test_round_trip(self, d):
         assert parse_digraph(format_digraph(d)) == d
+
+    @given(ugraphs())
+    def test_ugraph_round_trip(self, g):
+        # the parsed graph skips UGraph's checks, so compare it with one that ran them
+        parsed = parse_ugraph(format_ugraph(g))
+        assert parsed == g and hash(parsed) == hash(g)
+        assert parsed.edges == UGraph(g.n, parsed.edges).edges
+
+    def test_ugraph_reversed_pairs_normalised(self):
+        assert parse_ugraph("3 2\n1 0\n2 1").edges == {(0, 1), (1, 2)}
+
+
+class TestAdjacency:
+    def test_views_built_once(self):
+        d = Digraph(3, {(2, 0), (0, 1), (0, 2), (1, 0)})
+        for view in (d.out_neighbors, d.in_neighbors, d.sorted_arcs):
+            assert view() is view()
+        assert d.out_neighbors() == [[1, 2], [0], [0]]
+        assert d.in_neighbors() == [[1, 2], [0], [0]]
+        assert d.sorted_arcs() == [(0, 1), (0, 2), (1, 0), (2, 0)]
+
+    @given(digraphs())
+    def test_views_match_arcs(self, d):
+        assert d.out_neighbors() == [
+            sorted(v for (u, v) in d.arcs if u == x) for x in range(d.n)
+        ]
+        assert d.in_neighbors() == [
+            sorted(u for (u, v) in d.arcs if v == x) for x in range(d.n)
+        ]
+        assert d.sorted_arcs() == sorted(d.arcs)
+
+    def test_views_not_part_of_equality(self):
+        d = Digraph(2, {(0, 1)})
+        d.out_neighbors()
+        assert d == Digraph(2, {(0, 1)}) and hash(d) == hash(Digraph(2, {(0, 1)}))
 
 
 class TestUnderlyingAndBidirect:
