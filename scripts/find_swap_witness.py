@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Search small digraphs for cases where the weak-to-almost rewriting pass
-actually has to perform a swap (on most small inputs the gadget already
-returns an almost perfect forest).
+actually has to perform a swap on the forest `decide_weak` returns: the
+even-tree split of a spanning out-tree when the digraph has a single
+initial strong component, the gadget's forest otherwise.
 
 Usage: python3 scripts/find_swap_witness.py [--max 10] [--seed 0]
 """

@@ -38,7 +38,7 @@ from .graphs import (
     parse_digraph,
     parse_ugraph,
     ugraph_dot,
-    underlying_graph,
+    weak_components,
 )
 from .hardness import parse_3dm, reduce_3dm
 from .matching import maximum_matching
@@ -112,7 +112,7 @@ def cmd_decide(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if not underlying_graph(d).is_connected():
+    if len(weak_components(d)) > 1:
         print("warning: input digraph is disconnected", file=sys.stderr)
     f = _decide_forest(d, kind, args.oracle, _budget(args))
     if f is None:

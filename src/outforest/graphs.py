@@ -305,6 +305,28 @@ def bidirect(g: UGraph) -> Digraph:
 # connectivity
 
 
+def weak_components(d: Digraph) -> list[list[int]]:
+    """Vertex lists of the components of the underlying graph, in order of
+    their minimum vertex, each starting with it; one search over the
+    digraph's shared adjacency views, without building the underlying
+    graph."""
+    out, into = d.out_neighbors(), d.in_neighbors()
+    seen = [False] * d.n
+    components: list[list[int]] = []
+    for s in range(d.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for u in comp:
+            for w in (*out[u], *into[u]):
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        components.append(comp)
+    return components
+
+
 def strongly_connected_components(d: Digraph) -> list[list[int]]:
     """Tarjan's algorithm, iterative.  Components are returned in a
     deterministic order, each sorted ascending."""
@@ -372,7 +394,7 @@ def initial_components(d: Digraph) -> list[list[int]]:
 
 def classify(d: Digraph) -> ConnectivityClass:
     """Strongest applicable connectivity label (see ConnectivityClass)."""
-    if d.n == 0 or not underlying_graph(d).is_connected():
+    if len(weak_components(d)) != 1:
         return ConnectivityClass.DISCONNECTED
     if d.n % 2 == 1:
         return ConnectivityClass.CONNECTED_ODD

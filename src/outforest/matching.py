@@ -34,6 +34,24 @@ class Matching:
 
 def maximum_matching(g: UGraph) -> Matching:
     """Maximum-cardinality matching, valid on non-bipartite graphs."""
+    return _blossom_matching(g, stop_at_failed_search=False)
+
+
+def perfect_matching(g: UGraph) -> Matching | None:
+    """The matching `maximum_matching` returns if it is perfect, else None.
+
+    Stops at the first exposed vertex from which no augmenting path
+    starts: augmenting along other paths never creates one from it
+    (Edmonds 1965, "Paths, trees, and flowers"), so it stays exposed.
+    """
+    if g.n % 2 == 1:
+        return None
+    return _blossom_matching(g, stop_at_failed_search=True)
+
+
+def _blossom_matching(g: UGraph, stop_at_failed_search: bool) -> Matching | None:
+    """The search behind both public functions; None only when asked to
+    stop at a failed search and one fails."""
     n = g.n
     adj = g.adjacency()
     match = [-1] * n
@@ -110,6 +128,8 @@ def maximum_matching(g: UGraph) -> Matching:
     for v in range(n):
         if match[v] == -1:
             u = find_path(v)
+            if u == -1 and stop_at_failed_search:
+                return None
             while u != -1:
                 pv = p[u]
                 ppv = match[pv]
@@ -124,6 +144,4 @@ def maximum_matching(g: UGraph) -> Matching:
 
 
 def has_perfect_matching(g: UGraph) -> bool:
-    if g.n % 2 == 1:
-        return False
-    return 2 * len(maximum_matching(g)) == g.n
+    return perfect_matching(g) is not None

@@ -129,6 +129,32 @@ class TestInvariantChecks:
         assert run(["decide", "--kind", "weak-perfect", twocycle]) == 3
         assert "internal error" in capsys.readouterr().err
 
+    # the two-cycle takes the tree route; two disjoint arcs, with two
+    # initial components, take the gadget route
+    @pytest.mark.parametrize("text", [TWO_CYCLE, "4 2\n0 1\n2 3\n"])
+    def test_failed_decide_check_under_optimized_python(self, text, tmp_path):
+        graph = tmp_path / "g.dg"
+        graph.write_text(text)
+        src = str(Path(outforest.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        script = (
+            "import sys\n"
+            "from outforest import VerificationReport, cli, construct\n"
+            "construct.verify = lambda d, f, kind: "
+            "VerificationReport((('even-degree', (0,)),))\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "decide", "--kind", "weak-perfect",
+             str(graph)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "internal error" in proc.stderr
+
     def test_swap_pass_fault_is_internal_error(self, monkeypatch, tmp_path, capsys):
         graph = tmp_path / "g.ug"
         graph.write_text(SWAP_WITNESS)

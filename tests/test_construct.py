@@ -26,6 +26,7 @@ from outforest import (
     even_tree_to_weak,
     find_universal_root,
     forest_to_matching,
+    gadget_forest,
     matching_to_arcset,
     maximum_matching,
     oracle_forest,
@@ -34,6 +35,7 @@ from outforest import (
     sample_digraphs,
     spanning_out_tree,
     verify,
+    weak_components,
     weak_to_almost,
 )
 from outforest import construct
@@ -47,7 +49,7 @@ from outforest.errors import (
 
 TWO_CYCLE = Digraph(2, {(0, 1), (1, 0)})
 PATH4 = Digraph(4, {(0, 1), (1, 2), (2, 3)})
-# decide_weak on this digraph yields a forest with a forward arc, forcing
+# decide_weak on this digraph yields a forest with a cross arc, forcing
 # weak_to_almost to perform at least one swap (found by exhaustive search
 # at n = 4)
 SWAP_WITNESS = Digraph(4, {(0, 1), (1, 2), (0, 2), (0, 3)})
@@ -287,6 +289,73 @@ class TestDecideWeak:
         f = decide_weak(d)
         assert f is not None
         assert verify(d, f, ForestKind.WEAK_PERFECT).passed
+
+
+def _no_gadget(d):
+    raise AssertionError(f"gadget built for {d}")
+
+
+class TestDispatch:
+    def test_single_initial_takes_the_tree_route(self, monkeypatch):
+        monkeypatch.setattr(construct, "gadget_forest", _no_gadget)
+        checked = 0
+        for d in enumerate_digraphs(4):
+            root = find_universal_root(d)
+            if root is None:
+                continue
+            f = decide_weak(d)
+            assert f == even_tree_to_weak(spanning_out_tree(d, root)), d
+            checked += 1
+        assert checked == 1606 + 2008
+
+    def test_odd_components_of_order_4(self, monkeypatch):
+        monkeypatch.setattr(construct, "gadget_forest", _no_gadget)
+        checked = 0
+        for d in enumerate_digraphs(4):
+            if sorted(map(len, weak_components(d))) == [1, 3]:
+                assert decide_weak(d) is None, d
+                assert oracle_forest(d, ForestKind.WEAK_PERFECT) is None, d
+                checked += 1
+        assert checked == 4 * 54
+
+    def test_two_odd_components_of_order_6(self, monkeypatch):
+        monkeypatch.setattr(construct, "gadget_forest", _no_gadget)
+        checked = 0
+        for d in sample_digraphs(6, 1500, seed=71, arc_probability=0.15):
+            if sum(len(comp) % 2 for comp in weak_components(d)) >= 2:
+                assert decide_weak(d) is None, d
+                assert oracle_forest(d, ForestKind.WEAK_PERFECT) is None, d
+                checked += 1
+        assert checked > 300
+
+
+class TestGadgetRoute:
+    """gadget_forest called directly, single-initial digraphs included,
+    since decide_weak sends those to the tree route."""
+
+    def test_agrees_with_oracle_and_tree_route(self):
+        budget = OracleBudget(max_vertices=8)
+        digraphs = itertools.chain(
+            enumerate_digraphs(4),
+            sample_digraphs(6, 2000, seed=61, arc_probability=0.2),
+            sample_digraphs(8, 2000, seed=67, arc_probability=0.2),
+        )
+        single = multi = found = 0
+        for d in digraphs:
+            f = gadget_forest(d)
+            oracle = oracle_forest(d, ForestKind.WEAK_PERFECT, budget)
+            assert (f is None) == (oracle is None), d
+            if f is not None:
+                found += 1
+                assert verify(d, f, ForestKind.WEAK_PERFECT).passed, d
+            if find_universal_root(d) is None:
+                multi += 1
+                assert decide_weak(d) == f, d
+            else:
+                single += 1
+                assert f is not None and decide_weak(d) is not None, d
+        assert single + multi == 4096 + 2 * 2000
+        assert single > 1000 and multi > 1000 and found - single > 100
 
 
 class TestEvenTreeToWeak:

@@ -16,8 +16,10 @@ from outforest import (
     format_ugraph,
     parse_digraph,
     parse_ugraph,
+    sample_digraphs,
     spanning_out_tree,
     underlying_graph,
+    weak_components,
 )
 from outforest.errors import (
     DuplicateArc,
@@ -182,6 +184,31 @@ class TestConnectivitySpec:
             else:
                 expected = ConnectivityClass.CONNECTED_EVEN
             assert classify(d) is expected, d
+
+
+class TestWeakComponents:
+    """weak_components against the underlying graph: the same connectivity
+    verdict, a partition of the vertices, and no arc between parts."""
+
+    @staticmethod
+    def check(d):
+        comps = weak_components(d)
+        assert (len(comps) <= 1) == underlying_graph(d).is_connected(), d
+        assert sorted(v for comp in comps for v in comp) == list(range(d.n))
+        assert [comp[0] for comp in comps] == [min(comp) for comp in comps]
+        part = {v: i for i, comp in enumerate(comps) for v in comp}
+        assert all(part[u] == part[v] for (u, v) in d.arcs), d
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_exhaustive(self, n):
+        for d in enumerate_digraphs(n):
+            self.check(d)
+
+    def test_seeded(self):
+        for n in (6, 9, 12):
+            for p in (0.05, 0.1, 0.2):
+                for d in sample_digraphs(n, 100, seed=n, arc_probability=p):
+                    self.check(d)
 
 
 class TestSpanningOutTree:

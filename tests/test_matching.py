@@ -1,12 +1,18 @@
+import random
+
 from hypothesis import given, settings
 
 from conftest import ugraphs
 from outforest import (
     OracleBudget,
     UGraph,
+    build_gadget,
+    enumerate_digraphs,
+    enumerate_ugraphs,
     has_perfect_matching,
     maximum_matching,
     oracle_matching,
+    perfect_matching,
 )
 
 BUDGET = OracleBudget(max_vertices=12)
@@ -96,3 +102,38 @@ class TestMaximumMatching:
     def test_deterministic(self):
         g = petersen()
         assert maximum_matching(g) == maximum_matching(g)
+
+
+class TestPerfectMatching:
+    """perfect_matching is None exactly when maximum_matching is not
+    perfect, and otherwise the very same matching."""
+
+    @staticmethod
+    def agrees(g):
+        m = maximum_matching(g)
+        return perfect_matching(g) == (m if 2 * len(m) == g.n else None)
+
+    def test_every_graph_up_to_order_6(self):
+        graphs = [g for n in range(7) for g in enumerate_ugraphs(n)]
+        assert all(self.agrees(g) for g in graphs)
+        assert sum(perfect_matching(g) is not None for g in graphs) > 1000
+
+    def test_seeded_orders_8_to_12(self):
+        rng = random.Random(12)
+        perfect = 0
+        for _ in range(600):
+            n = rng.randint(8, 12)
+            p = rng.choice((0.15, 0.25, 0.5))
+            slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = UGraph(n, frozenset(e for e in slots if rng.random() < p))
+            assert self.agrees(g), g
+            perfect += perfect_matching(g) is not None
+        assert 50 < perfect < 550
+
+    def test_bounded_gadget_of_every_order_4_digraph(self):
+        perfect = 0
+        for d in enumerate_digraphs(4):
+            g, _ = build_gadget(d, bounded=True)
+            assert self.agrees(g), d
+            perfect += perfect_matching(g) is not None
+        assert 0 < perfect < 4096
