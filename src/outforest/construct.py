@@ -4,11 +4,10 @@ the two forest-transformation lemmas, and the end-to-end constructors.
 `decide_weak` decides by the paper's theorem before it searches.  An even
 digraph with a single initial strong component always has a weak perfect
 out-forest, and a spanning out-tree from a vertex of that component split
-by `even_tree_to_weak` is one, built in linear time.  Otherwise a weak
-component of odd order rules a forest out: each tree has all degrees odd,
-so by the handshake lemma it has even order, and the trees inside a
-component cover it.  Only the remaining digraphs go to the gadget, and
-its matcher stops at the first exposed vertex it cannot augment.
+by `even_tree_to_weak` is one, built in linear time.  Every other even
+digraph goes to the gadget, whose matcher stops at the first exposed
+vertex it cannot augment: that vertex stays exposed, so no perfect
+matching and no forest exists.
 
 The gadget reduces weak-perfect-out-forest existence to perfect matching:
 each source vertex u gets a block X_u of odd size (a distinguished
@@ -49,7 +48,6 @@ from .graphs import (
     classify,
     find_universal_root,
     spanning_out_tree,
-    weak_components,
 )
 # maximum_matching is no longer called here but stays bound under this
 # name, which perfbench/tests/test_perfbench.py reads
@@ -294,10 +292,9 @@ def decide_weak(d: Digraph) -> OutForest | None:
     With a single initial strong component and even order the forest
     exists (the paper's theorem) and is the even-tree split of the
     breadth-first spanning out-tree from the minimum universal vertex.
-    Otherwise odd order or a weak component of odd order means none
-    exists, and every other digraph, disconnected ones included, is
-    decided by `gadget_forest`.  The forest returned is checked to be
-    weak perfect on both routes (InvariantError if not).
+    Odd order means none exists, and every other digraph, disconnected
+    ones included, is decided by `gadget_forest`.  The forest returned is
+    checked to be weak perfect on both routes (InvariantError if not).
     """
     if d.n == 0:
         return OutForest(0, {})
@@ -306,8 +303,6 @@ def decide_weak(d: Digraph) -> OutForest | None:
     root = find_universal_root(d)
     if root is not None:
         f = even_tree_to_weak(spanning_out_tree(d, root))
-    elif any(len(comp) % 2 for comp in weak_components(d)):
-        return None
     else:
         f = gadget_forest(d)
         if f is None:

@@ -35,7 +35,6 @@ from outforest import (
     sample_digraphs,
     spanning_out_tree,
     verify,
-    weak_components,
     weak_to_almost,
 )
 from outforest import construct
@@ -308,30 +307,11 @@ class TestDispatch:
             checked += 1
         assert checked == 1606 + 2008
 
-    def test_odd_components_of_order_4(self, monkeypatch):
-        monkeypatch.setattr(construct, "gadget_forest", _no_gadget)
-        checked = 0
-        for d in enumerate_digraphs(4):
-            if sorted(map(len, weak_components(d))) == [1, 3]:
-                assert decide_weak(d) is None, d
-                assert oracle_forest(d, ForestKind.WEAK_PERFECT) is None, d
-                checked += 1
-        assert checked == 4 * 54
-
-    def test_two_odd_components_of_order_6(self, monkeypatch):
-        monkeypatch.setattr(construct, "gadget_forest", _no_gadget)
-        checked = 0
-        for d in sample_digraphs(6, 1500, seed=71, arc_probability=0.15):
-            if sum(len(comp) % 2 for comp in weak_components(d)) >= 2:
-                assert decide_weak(d) is None, d
-                assert oracle_forest(d, ForestKind.WEAK_PERFECT) is None, d
-                checked += 1
-        assert checked > 300
-
 
 class TestGadgetRoute:
     """gadget_forest called directly, single-initial digraphs included,
-    since decide_weak sends those to the tree route."""
+    since decide_weak sends those to the tree route; every forest it reads
+    back is also sent through the matching conversion on both layouts."""
 
     def test_agrees_with_oracle_and_tree_route(self):
         budget = OracleBudget(max_vertices=8)
@@ -348,6 +328,8 @@ class TestGadgetRoute:
             if f is not None:
                 found += 1
                 assert verify(d, f, ForestKind.WEAK_PERFECT).passed, d
+                _round_trip(d, f, False)
+                _round_trip(d, f, True)
             if find_universal_root(d) is None:
                 multi += 1
                 assert decide_weak(d) == f, d
