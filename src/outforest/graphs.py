@@ -93,6 +93,15 @@ class UGraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {{{u},{v}}} out of range for n={self.n}")
 
+    @classmethod
+    def _normalised(cls, n: int, edges: frozenset[Edge]) -> UGraph:
+        """A graph from edges its caller already checked and built as
+        in-range (min, max) pairs; skips the checks of __post_init__."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for (u, v) in self.edges:
@@ -238,12 +247,8 @@ def parse_digraph(text: str) -> Digraph:
 
 def parse_ugraph(text: str) -> UGraph:
     n, edges = _parse_edge_list(text, directed=False)
-    # every edge is already checked and normalised, so UGraph's own checks
-    # (__post_init__) would only repeat the parser's
-    g = object.__new__(UGraph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", edges)
-    return g
+    # every edge is already checked and normalised by the parser
+    return UGraph._normalised(n, edges)
 
 
 def format_digraph(d: Digraph) -> str:

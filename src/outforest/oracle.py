@@ -46,26 +46,35 @@ def oracle_forest(
     bitmask: its assigned vertices together with their parents still to
     be assigned.
 
-    Two prunes cut a branch only when no leaf below it can pass, so the
-    first forest found is the one the plain enumeration finds:
+    Three prunes cut a branch only when no leaf below it can pass, so
+    the first forest found is the one the plain enumeration finds:
 
     - Induced (Perfect): every arc of d inside a tree must be a tree arc.
       Trees only grow and an assigned vertex keeps its parent, so a
       violation is permanent.  It can only appear when two trees merge
       or when the arc's head is assigned, and both happen at the vertex
       just assigned.  So only that vertex's tree is checked, one AND per
-      assigned vertex in it.
+      assigned vertex in it.  The same check cuts a violation that is
+      already certain: an arc into the tree's unassigned top t from
+      inside the tree.  t's parent cannot lie in t's tree (that would
+      close a cycle) and the arc's tail stays in it, so the arc can
+      never become a tree arc.  Such an arc can only enter the tree by
+      a merge, so one AND at the vertex just assigned finds it.
     - Parity (all kinds but Even): every degree must be odd.  A vertex's
       forest degree is final once it and all its out-neighbors (its only
       possible children) are assigned, and it is checked at exactly that
       step.
+    - Closed tree (Even): every tree must have even order.  A tree with
+      an assigned root grows only when a later vertex takes a parent in
+      it, so once no later vertex has an in-neighbor in it its order is
+      final, and an odd one is cut.  After the last vertex every tree is
+      closed.
 
     Every leaf is still checked against the definition with `verify`.
-    For Perfect and Weak perfect the prunes are complete, so every leaf
-    reached passes; Almost perfect leaves can still fail on a forbidden
-    arc and Even leaves on an odd tree.  `max_states` counts the same
-    events as the unpruned enumeration (one per candidate tried), of
-    which fewer now occur.
+    For Perfect, Weak perfect and Even the prunes are complete, so every
+    leaf reached passes; Almost perfect leaves can still fail on a
+    forbidden arc.  `max_states` counts the same events as the unpruned
+    enumeration (one per candidate tried), of which fewer now occur.
     """
     n = d.n
     if n > budget.max_vertices:
@@ -79,6 +88,11 @@ def oracle_forest(
     candidates = [[None] + in_nbrs[v] for v in range(n)]
     in_mask = [sum(1 << a for a in in_nbrs[v]) for v in range(n)]
     induced = kind is ForestKind.PERFECT
+    even = kind is ForestKind.EVEN
+    # later_in[v]: the vertices with an arc to some vertex after v
+    later_in = [0] * n
+    for v in range(n - 2, -1, -1):
+        later_in[v] = later_in[v + 1] | in_mask[v + 1]
     # finishing[v]: the vertices whose degree is final once v is assigned
     finishing: list[list[int]] = [[] for _ in range(n)]
     if kind is not ForestKind.EVEN:
@@ -93,17 +107,25 @@ def oracle_forest(
     tree = [1 << v for v in range(n)]
     states = 0
 
-    def pruned(v: int, merged: int) -> bool:
+    def pruned(v: int, top: int, merged: int) -> bool:
         for w in finishing[v]:
             if (children[w] + (parent[w] is not None)) % 2 == 0:
                 return True
         if induced:
+            if top > v and in_mask[top] & merged:
+                return True  # an arc into the unassigned top, from its tree
             members = merged & ((2 << v) - 1)  # its vertices 0..v
             while members:
                 low = members & -members
                 if stray[low.bit_length() - 1] & merged:
                     return True
                 members ^= low
+        if even:
+            later = later_in[v]
+            for r in range(v + 1):
+                if parent[r] is None and not tree[r] & later:
+                    if tree[r].bit_count() % 2:
+                        return True  # a closed tree of odd order
         return False
 
     def search(v: int) -> OutForest | None:
@@ -134,7 +156,7 @@ def oracle_forest(
             parent[v] = cand
             saved = tree[top]
             tree[top] = merged = saved | tree[v]
-            if not pruned(v, merged):
+            if not pruned(v, top, merged):
                 found = search(v + 1)
                 if found is not None:
                     return found
@@ -255,10 +277,11 @@ def sample_digraphs(
 
 def enumerate_ugraphs(n: int, connected: bool | None = None) -> Iterator[UGraph]:
     """All 2^C(n,2) undirected graphs on n vertices, edge-subset order."""
+    # every slot is an in-range (u, v) pair with u < v
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(slots)):
         edges = frozenset(e for i, e in enumerate(slots) if (mask >> i) & 1)
-        g = UGraph(n, edges)
+        g = UGraph._normalised(n, edges)
         if connected is None or g.is_connected() == connected:
             yield g
 
@@ -275,7 +298,7 @@ def sample_ugraphs(
     produced = 0
     while produced < count:
         edges = frozenset(e for e in slots if rng.random() < edge_probability)
-        g = UGraph(n, edges)
+        g = UGraph._normalised(n, edges)
         if connected is None or g.is_connected() == connected:
             produced += 1
             yield g

@@ -197,7 +197,24 @@ class TestIncrementalSearch:
         assert len(digraphs) == 154
         self._same(digraphs, (ForestKind.PERFECT,))
 
-    @pytest.mark.parametrize("kind", [ForestKind.PERFECT, ForestKind.WEAK_PERFECT])
+    def test_equal_on_odd_order_7_samples(self):
+        """No forest of either kind exists at odd order, so the search
+        must exhaust the space; the even kind has only its closed-tree
+        prune to do that with."""
+        digraphs = list(sample_digraphs(7, 40, seed=1, arc_probability=0.4))
+        self._same(digraphs, (ForestKind.EVEN, ForestKind.WEAK_PERFECT))
+
+    def test_criterion_4_reductions_within_a_small_state_budget(self):
+        """An arc into the unassigned top of a tree, from inside it, cuts
+        the branch at once: every reduction is decided in a few thousand
+        states (tens of thousands without that prune)."""
+        budget = OracleBudget(max_vertices=12, max_states=5_000)
+        for d in _criterion_4_digraphs():
+            oracle_forest(d, ForestKind.PERFECT, budget)
+
+    @pytest.mark.parametrize(
+        "kind", [ForestKind.PERFECT, ForestKind.WEAK_PERFECT, ForestKind.EVEN]
+    )
     def test_every_leaf_reached_passes(self, kind, monkeypatch):
         """The prunes are complete for these kinds: verify runs once per
         forest found and never when there is none."""
