@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .construct import (
     build_gadget,
-    construct_for_single_initial,
     decide_weak,
     perfect_forest_undirected,
     weak_to_almost,

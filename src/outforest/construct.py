@@ -162,7 +162,8 @@ def build_gadget(
         edges.update(c.internal_pairs(u))
     for arc in d.arcs:
         edges.update(c.arc_edges(arc))
-    return UGraph(c.size, frozenset(edges)), c
+    # both helpers already build in-range (min, max) pairs
+    return UGraph._normalised(c.size, frozenset(edges)), c
 
 
 def matching_to_arcset(
@@ -376,7 +377,9 @@ def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
 
 def construct_for_single_initial(d: Digraph) -> OutForest:
     """Almost perfect out-forest of an even digraph with a single initial
-    strong component: spanning out-tree -> even-tree split -> arc swaps."""
+    strong component: spanning out-tree -> even-tree split -> arc swaps.
+
+    No CLI route calls it; the tests and perfbench/tracing.py do."""
     root = find_universal_root(d)
     if root is None or d.n % 2:
         raise WrongClass(
@@ -390,6 +393,8 @@ def perfect_forest_undirected(g: UGraph) -> set[Edge] | None:
     """Perfect forest of a connected undirected graph of even order, via
     bidirection; None for odd order or disconnected input.
 
+    In a connected bidirected digraph every vertex reaches every other, so
+    the spanning out-tree is rooted at 0 with no search for a root.
     weak_to_almost has already checked the forest almost perfect, which in
     a bidirected digraph makes it perfect (see extract_perfect_forest).
     """
@@ -397,5 +402,6 @@ def perfect_forest_undirected(g: UGraph) -> set[Edge] | None:
         return set()
     if g.n % 2 == 1 or not g.is_connected():
         return None
-    f = construct_for_single_initial(bidirect(g))
+    d = bidirect(g)
+    f = weak_to_almost(d, even_tree_to_weak(spanning_out_tree(d, 0)))
     return {(min(p, c), max(p, c)) for (p, c) in f.arcs()}

@@ -1,6 +1,12 @@
 """Digraph and undirected graph representations, parsing, connectivity
 classification, spanning out-trees and bidirection.
 
+Every connectivity question is answered by one breadth-first
+reachability search, `_reach`: weak components search along out- and
+in-neighbours, the universal root along out-neighbours, and strong
+connectivity along in-neighbours from that root.  No strong components
+are computed.
+
 Vertices are dense integer indices 0..n-1.  All values are immutable after
 construction; every operation here is a pure function of its inputs.
 """
@@ -112,21 +118,8 @@ class UGraph:
         return adj
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = self.adjacency()
         seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+        return self.n == 0 or len(_reach(0, seen, self.adjacency())) == self.n
 
 
 class ConnectivityClass(enum.Enum):
@@ -310,103 +303,44 @@ def bidirect(g: UGraph) -> Digraph:
 # connectivity
 
 
+def _reach(s: int, seen: list[bool], *views: list[list[int]]) -> list[int]:
+    """Mark s and every unseen vertex reachable from it along the
+    adjacency `views`, and return them in breadth-first order."""
+    seen[s] = True
+    found = [s]
+    for u in found:
+        for view in views:
+            for w in view[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    found.append(w)
+    return found
+
+
 def weak_components(d: Digraph) -> list[list[int]]:
     """Vertex lists of the components of the underlying graph, in order of
     their minimum vertex, each starting with it; one search over the
     digraph's shared adjacency views, without building the underlying
     graph."""
-    out, into = d.out_neighbors(), d.in_neighbors()
+    views = (d.out_neighbors(), d.in_neighbors())
     seen = [False] * d.n
-    components: list[list[int]] = []
-    for s in range(d.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        for u in comp:
-            for w in (*out[u], *into[u]):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        components.append(comp)
-    return components
-
-
-def strongly_connected_components(d: Digraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.  Components are returned in a
-    deterministic order, each sorted ascending."""
-    n = d.n
-    adj = d.out_neighbors()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for start in range(n):
-        if index[start] != -1:
-            continue
-        work: list[tuple[int, int]] = [(start, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    components.sort(key=lambda c: c[0])
-    return components
-
-
-def initial_components(d: Digraph) -> list[list[int]]:
-    """Strong components with no incoming arcs from other components."""
-    comps = strongly_connected_components(d)
-    comp_of = [0] * d.n
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    has_in = [False] * len(comps)
-    for (u, v) in d.arcs:
-        if comp_of[u] != comp_of[v]:
-            has_in[comp_of[v]] = True
-    return [comp for i, comp in enumerate(comps) if not has_in[i]]
+    return [_reach(s, seen, *views) for s in range(d.n) if not seen[s]]
 
 
 def classify(d: Digraph) -> ConnectivityClass:
-    """Strongest applicable connectivity label (see ConnectivityClass)."""
+    """Strongest applicable connectivity label (see ConnectivityClass).
+
+    A digraph with a universal root is strongly connected exactly when
+    every vertex reaches that root: one search over in-neighbours from it.
+    """
     if len(weak_components(d)) != 1:
         return ConnectivityClass.DISCONNECTED
     if d.n % 2 == 1:
         return ConnectivityClass.CONNECTED_ODD
-    init = initial_components(d)
-    if len(init) != 1:
+    root = find_universal_root(d)
+    if root is None:
         return ConnectivityClass.CONNECTED_EVEN
-    if len(init[0]) == d.n:
+    if len(_reach(root, [False] * d.n, d.in_neighbors())) == d.n:
         return ConnectivityClass.STRONGLY_CONNECTED_EVEN
     return ConnectivityClass.SINGLE_INITIAL_EVEN
 
@@ -416,12 +350,28 @@ def find_universal_root(d: Digraph) -> int | None:
     None if there is none.
 
     Such vertices exist exactly when d has a single initial strong
-    component, and they are its vertices: the condensation is acyclic, so
-    every component is reachable from some initial one, and an initial
+    component C, and they are its vertices: the condensation is acyclic,
+    so every component is reachable from some initial one, and an initial
     component is reachable only from its own vertices.
+
+    One pass searches from each still-unseen vertex in ascending order,
+    then one fresh search from the last start checks that it reaches every
+    vertex.  If C exists, that last start is min(C): the seen set stays
+    closed under out-arcs and no arc enters C, so no search from a vertex
+    below min(C) marks any vertex of C, and the search from min(C) marks
+    everything left.  If C does not exist, no start reaches every vertex
+    and the check fails.
     """
-    init = initial_components(d)
-    return init[0][0] if len(init) == 1 else None
+    out = d.out_neighbors()
+    seen = [False] * d.n
+    last = None
+    for s in range(d.n):
+        if not seen[s]:
+            _reach(s, seen, out)
+            last = s
+    if last is not None and len(_reach(last, [False] * d.n, out)) == d.n:
+        return last
+    return None
 
 
 def spanning_out_tree(d: Digraph, root: int) -> OutTree:

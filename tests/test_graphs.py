@@ -165,25 +165,43 @@ class TestClassify:
 
 class TestConnectivitySpec:
     """classify and find_universal_root against their definitions, by
-    plain BFS, on every digraph of order 0-4."""
+    plain BFS, on every digraph of order 0-4 and on sparse seeded digraphs
+    of orders 5-40."""
+
+    @staticmethod
+    def check(d) -> ConnectivityClass:
+        n = d.n
+        universal = [u for u in range(n) if len(reachable(d, u)) == n]
+        assert find_universal_root(d) == min(universal, default=None), d
+        both_ways = Digraph(n, d.arcs | {(v, u) for (u, v) in d.arcs})
+        if n == 0 or len(reachable(both_ways, 0)) < n:
+            expected = ConnectivityClass.DISCONNECTED
+        elif n % 2:
+            expected = ConnectivityClass.CONNECTED_ODD
+        elif len(universal) == n:
+            expected = ConnectivityClass.STRONGLY_CONNECTED_EVEN
+        elif universal:
+            expected = ConnectivityClass.SINGLE_INITIAL_EVEN
+        else:
+            expected = ConnectivityClass.CONNECTED_EVEN
+        assert classify(d) is expected, d
+        return expected
 
     @pytest.mark.parametrize("n", range(5))
     def test_exhaustive(self, n):
         for d in enumerate_digraphs(n):
-            universal = [u for u in range(n) if len(reachable(d, u)) == n]
-            assert find_universal_root(d) == min(universal, default=None), d
-            both_ways = Digraph(n, d.arcs | {(v, u) for (u, v) in d.arcs})
-            if n == 0 or len(reachable(both_ways, 0)) < n:
-                expected = ConnectivityClass.DISCONNECTED
-            elif n % 2:
-                expected = ConnectivityClass.CONNECTED_ODD
-            elif len(universal) == n:
-                expected = ConnectivityClass.STRONGLY_CONNECTED_EVEN
-            elif universal:
-                expected = ConnectivityClass.SINGLE_INITIAL_EVEN
-            else:
-                expected = ConnectivityClass.CONNECTED_EVEN
-            assert classify(d) is expected, d
+            self.check(d)
+
+    def test_seeded_beyond_exhaustive_orders(self):
+        # sparse arcs give many strong components; every label must occur,
+        # so the sample cannot drift into one easy class
+        labels = set()
+        for n in (5, 6, 9, 14, 20, 29, 40):
+            for p in (0.02, 0.05, 0.1, 0.2):
+                for d in sample_digraphs(n, 40, seed=n, arc_probability=p):
+                    labels.add(self.check(d))
+                    TestWeakComponents.check(d)
+        assert labels == set(ConnectivityClass)
 
 
 class TestWeakComponents:
