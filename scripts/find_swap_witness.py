@@ -8,6 +8,7 @@ Usage: python3 scripts/find_swap_witness.py [--max 10] [--seed 0]
 """
 
 import argparse
+import sys
 
 from outforest import (
     ArcClass,
@@ -45,7 +46,8 @@ def main():
             if f is None or not needs_swap(d, f):
                 continue
             f2 = weak_to_almost(d, f)
-            assert verify(d, f2, ForestKind.ALMOST_PERFECT).passed
+            if not verify(d, f2, ForestKind.ALMOST_PERFECT).passed:
+                sys.exit(f"not almost perfect after the swap pass: {sorted(d.arcs)}")
             swaps = len(f.arcs()) - len(f2.arcs())
             print(f"[{label}] arcs={sorted(d.arcs)}")
             print(f"  weak forest: {sorted(f.arcs())}")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = decided/constructed/verified successfully, 1 = the object
 decided does not exist (or verification failed), 2 = input/usage error,
-3 = internal error (a failed invariant of this package, not bad input).
+3 = internal error (a failed invariant of this package, or any exception
+it did not raise on purpose, such as MemoryError or RecursionError).
 
 Subcommands: classify, decide, construct, verify, gadget, match,
 reduce-3dm, oracle, scott.
@@ -327,6 +328,11 @@ def run(argv: list[str]) -> int:
     except (OutForestError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        name = type(exc).__name__
+        print(f"internal error: {name}: {exc}" if str(exc) else f"internal error: {name}",
+              file=sys.stderr)
+        return 3
 
 
 def main() -> int:

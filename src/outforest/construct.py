@@ -44,6 +44,7 @@ from .graphs import (
     Edge,
     OutTree,
     UGraph,
+    _reach,
     bidirect,
     classify,
     find_universal_root,
@@ -344,25 +345,41 @@ def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
     a tree arc whose path is removed becomes an inter-tree arc; a backward
     arc keeps its ancestor or has its endpoints land in different trees;
     trees only split, except that the piece of v rejoins the tree of u.
+
+    The same argument lets the pass classify each arc once against the
+    entry forest f, in O(1) by preorder interval, and skip its tree,
+    backward and inter-tree arcs.  Only entry forward and cross arcs
+    climb the current forest, from u and v in turn, marking each vertex
+    with the arc's index until one side meets a vertex the other marked:
+    their lowest common ancestor w.  A swap deletes both climbed paths,
+    so the swaps cost O(n + swaps) climb steps in all.  An arc whose
+    endpoints lie in different trees by its turn climbs to both roots.
     The pass edits one parent map and builds a single forest at the end,
     which is checked to be almost perfect (InvariantError if not).
     """
     report = verify(d, f, ForestKind.WEAK_PERFECT)
     if not report.passed:
         raise NotWeakPerfect(report.to_json())
-    parent = dict(f.parent)
-    for (u, v) in d.sorted_arcs():
-        above_u = {u}
-        a = u
-        while a in parent:
-            a = parent[a]
-            above_u.add(a)
-        # climb from v to the LCA w; no w means an inter-tree arc, w == v
-        # a backward one.  A tree arc (w == u, path v) is swapped for itself.
-        w = v
-        while w not in above_u and w in parent:
-            w = parent[w]
-        if w == v or w not in above_u:
+    tree_id, entry_parent = f.tree_id, f.parent
+    pre, end = f.intervals()
+    parent = dict(entry_parent)
+    mark = [-1] * f.n
+    for i, (u, v) in enumerate(d.sorted_arcs()):
+        if (tree_id[u] != tree_id[v] or entry_parent.get(v) == u
+                or pre[v] < pre[u] < end[v]):
+            continue  # an entry inter-tree, tree or backward arc
+        w = None  # stays None if both climbs reach a root: inter-tree by now
+        mark[u] = mark[v] = i
+        a, b = u, v
+        while a in parent or b in parent:
+            if a in parent:
+                a = parent[a]
+                if mark[a] == i:
+                    w = a
+                    break
+                mark[a] = i
+            a, b = b, a
+        if w is None or w == v:  # w == v: backward by now
             continue
         for a in (u, v):
             while a != w:
@@ -393,15 +410,19 @@ def perfect_forest_undirected(g: UGraph) -> set[Edge] | None:
     """Perfect forest of a connected undirected graph of even order, via
     bidirection; None for odd order or disconnected input.
 
-    In a connected bidirected digraph every vertex reaches every other, so
-    the spanning out-tree is rooted at 0 with no search for a root.
-    weak_to_almost has already checked the forest almost perfect, which in
-    a bidirected digraph makes it perfect (see extract_perfect_forest).
+    g is connected exactly when vertex 0 reaches every vertex of the
+    bidirected digraph, one search over its own out-lists.  Then every
+    vertex reaches every other, so the spanning out-tree is rooted at 0
+    with no search for a root.  weak_to_almost has already checked the
+    forest almost perfect, which in a bidirected digraph makes it perfect
+    (see extract_perfect_forest).
     """
     if g.n == 0:
         return set()
-    if g.n % 2 == 1 or not g.is_connected():
+    if g.n % 2 == 1:
         return None
     d = bidirect(g)
+    if len(_reach(0, [False] * d.n, d.out_neighbors())) < d.n:
+        return None
     f = weak_to_almost(d, even_tree_to_weak(spanning_out_tree(d, 0)))
     return {(min(p, c), max(p, c)) for (p, c) in f.arcs()}

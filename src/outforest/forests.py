@@ -34,9 +34,15 @@ class ArcClass(enum.Enum):
 class OutForest:
     """Spanning out-forest: per-vertex optional parent, acyclic, in-degree
     at most one.  Tree ids (the root vertex) and depths are derived caches
-    computed on construction."""
+    computed on construction.
 
-    __slots__ = ("n", "parent", "tree_id", "depth", "children", "roots")
+    Ancestry is read off preorder intervals of a depth-first walk (the
+    parenthesis theorem, Tarjan 1972): a is a proper ancestor of v exactly
+    when pre[a] < pre[v] < end[a], where end[a] is one past the last
+    preorder index of a's subtree.  The intervals are computed on first
+    use and cached, so building a forest costs nothing extra."""
+
+    __slots__ = ("n", "parent", "tree_id", "depth", "children", "roots", "_intervals")
 
     def __init__(self, n: int, parent: dict[int, int]):
         self.n = n
@@ -98,13 +104,34 @@ class OutForest:
         """Degree of v in the underlying graph of the forest."""
         return len(self.children[v]) + (1 if v in self.parent else 0)
 
+    def intervals(self) -> tuple[list[int], list[int]]:
+        """Preorder index and subtree end of every vertex (see the class
+        docstring), computed on the first call and shared by later ones,
+        which must not mutate them."""
+        try:
+            return self._intervals
+        except AttributeError:
+            pass
+        pre = [0] * self.n
+        size = [1] * self.n
+        order = []
+        stack = list(self.roots)
+        while stack:
+            v = stack.pop()
+            pre[v] = len(order)
+            order.append(v)
+            stack.extend(self.children[v])
+        parent = self.parent
+        for v in reversed(order):
+            if v in parent:
+                size[parent[v]] += size[v]
+        self._intervals = pre, [p + s for p, s in zip(pre, size)]
+        return self._intervals
+
     def is_ancestor(self, a: int, v: int) -> bool:
         """True iff a is a proper ancestor of v."""
-        while v in self.parent:
-            v = self.parent[v]
-            if v == a:
-                return True
-        return False
+        pre, end = self.intervals()
+        return pre[a] < pre[v] < end[a]
 
 
 def classify_arc(d: Digraph, f: OutForest, arc: Arc) -> ArcClass:
@@ -117,9 +144,10 @@ def classify_arc(d: Digraph, f: OutForest, arc: Arc) -> ArcClass:
         return ArcClass.TREE
     if f.tree_id[tail] != f.tree_id[head]:
         return ArcClass.INTER_TREE
-    if f.is_ancestor(head, tail):
+    pre, end = f.intervals()
+    if pre[head] < pre[tail] < end[head]:
         return ArcClass.BACKWARD
-    if f.is_ancestor(tail, head):
+    if pre[tail] < pre[head] < end[tail]:
         return ArcClass.FORWARD
     return ArcClass.CROSS
 
@@ -172,10 +200,14 @@ def verify(d: Digraph, f: OutForest, kind: ForestKind) -> VerificationReport:
             violations.append(("even-degree", (v, deg)))
 
     if kind is ForestKind.ALMOST_PERFECT:
-        for arc in d.sorted_arcs():
-            cls = classify_arc(d, f, arc)
-            if cls in (ArcClass.FORWARD, ArcClass.CROSS):
-                violations.append(("forbidden-arc", (arc, cls.value)))
+        # classify_arc's tests, inlined to save a call per arc
+        tree_id, parent = f.tree_id, f.parent
+        pre, end = f.intervals()
+        for (u, v) in d.sorted_arcs():
+            if tree_id[u] != tree_id[v] or parent.get(v) == u or pre[v] < pre[u] < end[v]:
+                continue
+            cls = ArcClass.FORWARD if pre[u] < pre[v] < end[u] else ArcClass.CROSS
+            violations.append(("forbidden-arc", ((u, v), cls.value)))
     elif kind is ForestKind.PERFECT:
         # each tree induced: every arc of d inside one tree is a tree arc
         for (u, v) in d.sorted_arcs():

@@ -64,20 +64,24 @@ class Digraph:
 
     @cached_property
     def _sorted_arcs(self) -> list[Arc]:
-        return sorted(self.arcs)
+        return [(u, v) for u, vs in enumerate(self._out_neighbors) for v in vs]
 
     @cached_property
     def _out_neighbors(self) -> list[list[int]]:
+        # n small integer sorts instead of one sort of m arc tuples
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (u, v) in self._sorted_arcs:
+        for (u, v) in self.arcs:
             adj[u].append(v)
+        for vs in adj:
+            vs.sort()
         return adj
 
     @cached_property
     def _in_neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (u, v) in self._sorted_arcs:
-            adj[v].append(u)
+        for u, vs in enumerate(self._out_neighbors):
+            for v in vs:
+                adj[v].append(u)
         return adj
 
 

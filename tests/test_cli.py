@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import check_undirected_perfect_forest
 from outforest import (
     ForestKind,
     OutForest,
+    UGraph,
     VerificationReport,
     parse_digraph,
     parse_forest,
@@ -297,6 +299,31 @@ class TestUsageErrors:
         assert "line 2" in capsys.readouterr().err
 
 
+class TestUnexpectedFaults:
+    """An exception the package did not raise on purpose is an internal
+    error (exit 3), never "does not exist" (1) or "bad input" (2)."""
+
+    def test_memory_error_exits_three(self, monkeypatch, twocycle, capsys):
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_digraph", exhausted)
+        assert run(["decide", "--kind", "even", twocycle]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: MemoryError\n", err
+        assert "Traceback" not in err
+
+    def test_recursion_error_exits_three(self, monkeypatch, twocycle, capsys):
+        def too_deep(d, kind, budget):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "oracle_forest", too_deep)
+        assert run(["oracle", "--kind", "weak-perfect", twocycle]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RecursionError: maximum recursion"), err
+        assert "Traceback" not in err
+
+
 class TestScottOutputPinned:
     """`scott --json` on the benchmark's scott-tree pools of seeds 1-3,
     pinned byte for byte by digest."""
@@ -324,3 +351,52 @@ class TestScottOutputPinned:
             code = run(["scott", "--json", str(tmp_path / inst["file"])])
             digest.update(f"{code}\n{capsys.readouterr().out}\0".encode())
         assert digest.hexdigest() == outputs
+
+
+def _caterpillar(n):
+    """Spine 0..k, vertex i of 1..k carrying leaf k+i, and vertex 2k+1
+    after k: n = 2k+2 vertices, a tree of depth about n/2."""
+    k = (n - 2) // 2
+    return ([(i, i + 1) for i in range(k)] + [(i, k + i) for i in range(1, k + 1)]
+            + [(k, 2 * k + 1)])
+
+
+class TestDeepFamilies:
+    """Deep trees, on which O(m * depth) ancestry took 18 s (scott) and
+    23 s (decide) at this order on a 2-vCPU machine; the linear pass takes
+    about 0.2 s and 0.1 s there, so the bound is loose."""
+
+    N = 16002
+    BOUND_S = 5.0
+
+    def timed(self, argv, capsys):
+        capsys.readouterr()
+        t = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - t
+        return code, json.loads(capsys.readouterr().out), elapsed
+
+    def test_caterpillar_scott(self, tmp_path, capsys):
+        edges = _caterpillar(self.N)
+        p = tmp_path / "cat.ug"
+        p.write_text(f"{self.N} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        code, out, elapsed = self.timed(["scott", "--json", str(p)], capsys)
+        assert code == 0 and out["exists"]
+        assert check_undirected_perfect_forest(UGraph(self.N, edges), out["edges"])
+        assert elapsed < self.BOUND_S, elapsed
+
+    def test_dcat_decide_almost_perfect(self, tmp_path, capsys, monkeypatch):
+        # the caterpillar directed away from 0, plus an arc from every
+        # vertex >= 2 back to 0: strongly connected and even
+        arcs = _caterpillar(self.N) + [(w, 0) for w in range(2, self.N)]
+        p = tmp_path / "dcat.dg"
+        p.write_text(f"{self.N} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs))
+        code, out, elapsed = self.timed(
+            ["decide", "--kind", "almost-perfect", "--json", str(p)], capsys)
+        assert code == 0 and out["exists"]
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import check
+
+        parent = {int(c): p for c, p in out["forest"].items()}
+        assert check.check_out_forest(self.N, arcs, parent, "almost") is None
+        assert elapsed < self.BOUND_S, elapsed

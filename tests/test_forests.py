@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -73,6 +76,128 @@ class TestClassifyArc:
         for arc in d.arcs:
             counts[classify_arc(d, f, arc)] += 1
         assert sum(counts.values()) == len(d.arcs)
+
+
+def _walk_ancestors(parent: dict[int, int], v: int) -> list[int]:
+    """Proper ancestors of v, nearest first, by walking parent pointers."""
+    out = []
+    while v in parent:
+        v = parent[v]
+        out.append(v)
+    return out
+
+
+def _walk_class(parent: dict[int, int], arc) -> ArcClass:
+    """The arc taxonomy from its definition, by parent-pointer walks only."""
+    u, v = arc
+    if parent.get(v) == u:
+        return ArcClass.TREE
+    above_u, above_v = _walk_ancestors(parent, u), _walk_ancestors(parent, v)
+    if (above_u or [u])[-1] != (above_v or [v])[-1]:
+        return ArcClass.INTER_TREE
+    if v in above_u:
+        return ArcClass.BACKWARD
+    if u in above_v:
+        return ArcClass.FORWARD
+    return ArcClass.CROSS
+
+
+def _walk_almost_violations(d: Digraph, n: int, parent: dict[int, int]):
+    """What verify(ALMOST_PERFECT) must report, rule by rule and in order."""
+    violations = [("arc-not-in-host", (p, c))
+                  for (p, c) in sorted((p, c) for c, p in parent.items())
+                  if (p, c) not in d.arcs]
+    for v in range(n):
+        deg = sum(1 for p in parent.values() if p == v) + (v in parent)
+        if deg % 2 == 0:
+            violations.append(("even-degree", (v, deg)))
+    for arc in sorted(d.arcs):
+        cls = _walk_class(parent, arc)
+        if cls in (ArcClass.FORWARD, ArcClass.CROSS):
+            violations.append(("forbidden-arc", (arc, cls.value)))
+    return tuple(violations)
+
+
+def _all_forests(n: int):
+    """Every labelled rooted forest on 0..n-1, as a parent map: every
+    parent choice whose walks all reach a root in fewer than n steps."""
+    for choice in itertools.product(*[[None, *(p for p in range(n) if p != c)]
+                                      for c in range(n)]):
+        parent = {c: p for c, p in enumerate(choice) if p is not None}
+        if all(_reaches_root(parent, v, n) for v in range(n)):
+            yield parent
+
+
+def _reaches_root(parent, v, steps):
+    for _ in range(steps):
+        if v not in parent:
+            return True
+        v = parent[v]
+    return False
+
+
+def _seeded_forests(rng: random.Random, count: int, max_n: int):
+    """Random forests of orders 1..max_n: each vertex, in a random order,
+    is a root or hangs below an earlier one; deep and shallow alike."""
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        order = rng.sample(range(n), n)
+        chain = rng.random() < 0.3  # mostly long paths
+        parent = {}
+        for i, v in enumerate(order[1:], start=1):
+            if rng.random() < 0.1:
+                continue
+            j = i - 1 if chain and rng.random() < 0.8 else rng.randrange(i)
+            parent[v] = order[j]
+        yield n, parent
+
+
+def _random_host(rng: random.Random, n: int, parent: dict[int, int]) -> Digraph:
+    """A digraph holding most of the forest's arcs and some others."""
+    keep = rng.random()
+    arcs = {(p, c) for c, p in parent.items() if rng.random() < 0.5 + keep / 2}
+    arcs |= {(u, v) for u in range(n) for v in range(n)
+             if u != v and rng.random() < 3 / (n + 1)}
+    return Digraph(n, frozenset(arcs))
+
+
+class TestAncestryAgainstWalks:
+    """Preorder intervals against parent-pointer walks, which share no
+    code with them."""
+
+    @staticmethod
+    def check(n, parent, hosts):
+        f = OutForest(n, parent)
+        for a in range(n):
+            for v in range(n):
+                assert f.is_ancestor(a, v) == (a in _walk_ancestors(parent, v)), (
+                    parent, a, v)
+        complete = Digraph(n, frozenset(
+            (u, v) for u in range(n) for v in range(n) if u != v))
+        for arc in complete.arcs:
+            assert classify_arc(complete, f, arc) is _walk_class(parent, arc), (
+                parent, arc)
+        for d in (complete, *hosts):
+            assert verify(d, f, ForestKind.ALMOST_PERFECT).violations == (
+                _walk_almost_violations(d, n, parent)), (parent, sorted(d.arcs))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_forest_of_small_order(self, n):
+        rng = random.Random(n)
+        count = 0
+        for parent in _all_forests(n):
+            self.check(n, parent, [_random_host(rng, n, parent)])
+            count += 1
+        assert count == (n + 1) ** max(n - 1, 0)  # Cayley: 1 296 at order 5
+
+    def test_seeded_forests_up_to_order_40(self):
+        rng = random.Random(16)
+        for n, parent in _seeded_forests(rng, 400, 40):
+            self.check(n, parent, [_random_host(rng, n, parent) for _ in range(2)])
+
+    def test_intervals_cached_on_the_forest(self):
+        f = OutForest(5, {1: 0, 2: 1, 4: 3})
+        assert f.intervals() is f.intervals()
 
 
 class TestVerify:

@@ -15,13 +15,13 @@ even                          1606/1606               2008/2008                1
 """
 
 
-def run_script(name, *args):
+def run_script(name, *args, flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *flags, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
@@ -33,7 +33,9 @@ def test_existence_table_n4():
 
 
 def test_find_swap_witness_max_1():
-    proc = run_script("find_swap_witness.py", "--max", "1")
-    assert proc.returncode == 0, proc.stderr
-    witnesses = [line for line in proc.stdout.splitlines() if line.startswith("[")]
-    assert len(witnesses) == 1, proc.stdout
+    # the script checks its result without assert, so -O keeps the check
+    for flags in ((), ("-O",)):
+        proc = run_script("find_swap_witness.py", "--max", "1", flags=flags)
+        assert proc.returncode == 0, (flags, proc.stderr)
+        witnesses = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+        assert len(witnesses) == 1, (flags, proc.stdout)
