@@ -49,6 +49,11 @@ SCHEMA = 1
 # 403 650 (n = 300, m = 900) the command took 1.4 s and 121 MiB on a
 # 2-core machine, and both grow linearly with the bound
 GADGET_MAX_SIZE = 500_000
+# bound on n + m of the input to classify, decide, match and scott; at
+# n + m = 500 000 (m = 2n, sparse and random) `decide --kind almost-perfect`
+# took 3.6 s and 202 MiB and `scott` 4.4 s and 210 MiB on a 2-core
+# machine, and both grow linearly with n + m
+INPUT_MAX_SIZE = 500_000
 
 KIND_NAMES = {
     "perfect": ForestKind.PERFECT,
@@ -73,6 +78,14 @@ def _emit_json(payload: dict):
     print(json.dumps({"schema": SCHEMA, **payload}))
 
 
+def _check_size(n: int, m: int):
+    """Refuse an input over INPUT_MAX_SIZE, before any per-vertex work."""
+    if n + m > INPUT_MAX_SIZE:
+        raise BudgetExceeded(
+            f"the input has n + m = {n + m}, over the limit of {INPUT_MAX_SIZE}"
+        )
+
+
 def _budget(args) -> OracleBudget:
     return OracleBudget(
         max_vertices=args.max_vertices,
@@ -95,6 +108,7 @@ def _decide_forest(d, kind: ForestKind, use_oracle: bool, budget: OracleBudget):
 
 def cmd_classify(args) -> int:
     d = parse_digraph(_read(args.graph))
+    _check_size(d.n, len(d.arcs))
     cls = classify(d)
     if args.json:
         _emit_json({"class": cls.value})
@@ -106,6 +120,7 @@ def cmd_classify(args) -> int:
 def cmd_decide(args) -> int:
     kind = KIND_NAMES[args.kind]
     d = parse_digraph(_read(args.graph))
+    _check_size(d.n, len(d.arcs))
     if kind is ForestKind.PERFECT and not args.oracle:
         print(
             "perfect out-forest decision is NP-hard; rerun with --oracle",
@@ -178,6 +193,7 @@ def cmd_gadget(args) -> int:
 
 def cmd_match(args) -> int:
     g = parse_ugraph(_read(args.graph))
+    _check_size(g.n, len(g.edges))
     m = maximum_matching(g)
     if args.json:
         _emit_json(
@@ -214,6 +230,7 @@ def cmd_reduce_3dm(args) -> int:
 
 def cmd_scott(args) -> int:
     g = parse_ugraph(_read(args.graph))
+    _check_size(g.n, len(g.edges))
     edges = perfect_forest_undirected(g)
     if edges is None:
         reason = "odd order" if g.n % 2 == 1 else "disconnected input"
@@ -223,7 +240,8 @@ def cmd_scott(args) -> int:
             print(f"no perfect forest ({reason})")
         return 1
     if args.json:
-        _emit_json({"exists": True, "edges": sorted(list(e) for e in edges)})
+        # json writes the (u, v) tuples as [u, v] arrays
+        _emit_json({"exists": True, "edges": sorted(edges)})
     elif args.dot:
         _write(args.output, ugraph_dot(g, bold_edges=edges))
     else:

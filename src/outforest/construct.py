@@ -337,7 +337,8 @@ def even_tree_to_weak(t: OutTree) -> OutForest:
 def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
     """Rewrite a weak perfect out-forest into an almost perfect one.
 
-    One pass over the arcs of d in ascending (tail, head) order: whenever
+    One pass over the out-lists of d, so over its arcs in ascending
+    (tail, head) order, without building an arc tuple: whenever
     the arc (u,v) is a forward or cross arc of the current forest, remove
     the arcs of the unique underlying-tree path from u to v and add (u,v).
     One pass suffices because a tree, backward or inter-tree arc stays in
@@ -364,27 +365,30 @@ def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
     pre, end = f.intervals()
     parent = dict(entry_parent)
     mark = [-1] * f.n
-    for i, (u, v) in enumerate(d.sorted_arcs()):
-        if (tree_id[u] != tree_id[v] or entry_parent.get(v) == u
-                or pre[v] < pre[u] < end[v]):
-            continue  # an entry inter-tree, tree or backward arc
-        w = None  # stays None if both climbs reach a root: inter-tree by now
-        mark[u] = mark[v] = i
-        a, b = u, v
-        while a in parent or b in parent:
-            if a in parent:
-                a = parent[a]
-                if mark[a] == i:
-                    w = a
-                    break
-                mark[a] = i
-            a, b = b, a
-        if w is None or w == v:  # w == v: backward by now
-            continue
-        for a in (u, v):
-            while a != w:
-                a = parent.pop(a)
-        parent[v] = u
+    i = 0  # numbers the climbing arcs, to tell their marks apart
+    for u, heads in enumerate(d.out_neighbors()):
+        for v in heads:
+            if (tree_id[u] != tree_id[v] or entry_parent.get(v) == u
+                    or pre[v] < pre[u] < end[v]):
+                continue  # an entry inter-tree, tree or backward arc
+            i += 1
+            w = None  # stays None if both climbs reach a root: inter-tree by now
+            mark[u] = mark[v] = i
+            a, b = u, v
+            while a in parent or b in parent:
+                if a in parent:
+                    a = parent[a]
+                    if mark[a] == i:
+                        w = a
+                        break
+                    mark[a] = i
+                a, b = b, a
+            if w is None or w == v:  # w == v: backward by now
+                continue
+            for a in (u, v):
+                while a != w:
+                    a = parent.pop(a)
+            parent[v] = u
     f = OutForest(f.n, parent)
     report = verify(d, f, ForestKind.ALMOST_PERFECT)
     if not report.passed:
@@ -425,4 +429,4 @@ def perfect_forest_undirected(g: UGraph) -> set[Edge] | None:
     if len(_reach(0, [False] * d.n, d.out_neighbors())) < d.n:
         return None
     f = weak_to_almost(d, even_tree_to_weak(spanning_out_tree(d, 0)))
-    return {(min(p, c), max(p, c)) for (p, c) in f.arcs()}
+    return {(p, c) if p < c else (c, p) for c, p in f.parent.items()}

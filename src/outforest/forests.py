@@ -183,9 +183,9 @@ def verify(d: Digraph, f: OutForest, kind: ForestKind) -> VerificationReport:
     violations: list[tuple[str, tuple]] = []
     if f.n != d.n:
         return VerificationReport((("order-mismatch", (f.n, d.n)),))
-    for (p, c) in sorted(f.arcs()):
-        if (p, c) not in d.arcs:
-            violations.append(("arc-not-in-host", (p, c)))
+    arcs = d.arcs
+    for arc in sorted((p, c) for c, p in f.parent.items() if (p, c) not in arcs):
+        violations.append(("arc-not-in-host", arc))
 
     if kind is ForestKind.EVEN:
         for root, verts in sorted(f.trees().items()):
@@ -194,20 +194,24 @@ def verify(d: Digraph, f: OutForest, kind: ForestKind) -> VerificationReport:
         return VerificationReport(tuple(violations))
 
     # the three perfect variants all require odd underlying degrees
+    children, parent = f.children, f.parent
     for v in range(f.n):
-        deg = f.degree(v)
+        deg = len(children[v]) + (v in parent)  # f.degree(v), inlined
         if deg % 2 == 0:
             violations.append(("even-degree", (v, deg)))
 
     if kind is ForestKind.ALMOST_PERFECT:
         # classify_arc's tests, inlined to save a call per arc
-        tree_id, parent = f.tree_id, f.parent
+        tree_id = f.tree_id
         pre, end = f.intervals()
-        for (u, v) in d.sorted_arcs():
-            if tree_id[u] != tree_id[v] or parent.get(v) == u or pre[v] < pre[u] < end[v]:
-                continue
-            cls = ArcClass.FORWARD if pre[u] < pre[v] < end[u] else ArcClass.CROSS
-            violations.append(("forbidden-arc", ((u, v), cls.value)))
+        # the out-lists give the arcs in (tail, head) order, without tuples
+        for u, heads in enumerate(d.out_neighbors()):
+            for v in heads:
+                if (tree_id[u] != tree_id[v] or parent.get(v) == u
+                        or pre[v] < pre[u] < end[v]):
+                    continue
+                cls = ArcClass.FORWARD if pre[u] < pre[v] < end[u] else ArcClass.CROSS
+                violations.append(("forbidden-arc", ((u, v), cls.value)))
     elif kind is ForestKind.PERFECT:
         # each tree induced: every arc of d inside one tree is a tree arc
         for (u, v) in d.sorted_arcs():

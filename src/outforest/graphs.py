@@ -20,6 +20,7 @@ from functools import cached_property
 
 from .errors import (
     DuplicateArc,
+    InvariantError,
     MalformedLine,
     NotReachable,
     OutOfRangeVertex,
@@ -49,6 +50,21 @@ class Digraph:
                 raise ValueError(f"arc ({u},{v}) out of range for n={self.n}")
             if u == v:
                 raise ValueError(f"self-loop ({u},{u})")
+
+    @classmethod
+    def _normalised(
+        cls, n: int, arcs: frozenset[Arc], out_neighbors: list[list[int]] | None = None
+    ) -> Digraph:
+        """A digraph from arcs its caller already checked and built as a
+        frozenset of in-range pairs without self-loops; skips the checks
+        of __post_init__.  `out_neighbors`, if given, must be the sorted
+        out-lists of exactly those arcs, and becomes the shared view."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "arcs", arcs)
+        if out_neighbors is not None:
+            d.__dict__["_out_neighbors"] = out_neighbors
+        return d
 
     # The three views below are computed once per digraph and shared by
     # every caller, which must not mutate them.
@@ -144,6 +160,7 @@ class OutTree:
     n: int
     root: int
     parent: dict[int, int] = field(default_factory=dict)
+    _bfs_order: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "parent", dict(self.parent))
@@ -157,8 +174,15 @@ class OutTree:
             if p != self.root and p not in self.parent:
                 raise ValueError(f"parent {p} of {c} is not a tree vertex")
         # acyclicity: a walk down from the root must reach every vertex
-        if len(self.bfs_order()) < self.order():
+        children: dict[int, list[int]] = {}
+        for c, p in self.parent.items():
+            children.setdefault(p, []).append(c)
+        order = [self.root]
+        for v in order:
+            order.extend(children.get(v, ()))
+        if len(order) < self.order():
             raise ValueError("cycle in parent relation")
+        object.__setattr__(self, "_bfs_order", order)
 
     def vertices(self) -> set[int]:
         return {self.root} | set(self.parent)
@@ -170,14 +194,10 @@ class OutTree:
         return {(p, c) for c, p in self.parent.items()}
 
     def bfs_order(self) -> list[int]:
-        """Vertices reachable from the root, each listed after its parent."""
-        children: dict[int, list[int]] = {}
-        for c, p in self.parent.items():
-            children.setdefault(p, []).append(c)
-        order = [self.root]
-        for v in order:
-            order.extend(children.get(v, ()))
-        return order
+        """Every tree vertex, each listed after its parent: the walk the
+        acyclicity check made, shared by every caller, which must not
+        mutate it."""
+        return self._bfs_order
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +205,44 @@ class OutTree:
 
 
 def _parse_edge_list(text: str, directed: bool):
-    """Header and pairs of the edge-list format, each pair checked with
-    its line number.  Returns n and the pairs, as (min, max) when
-    undirected."""
+    """Header and pairs of the edge-list format.  Returns n and the pairs
+    as one frozenset, as (min, max) when undirected.
+
+    Blank lines, and lines whose first token starts with "#", are
+    skipped.  Every other line holds two integers: the header "n m", then
+    m lines of one pair each.  One pass over the whole text's tokens
+    reads the pairs and checks them in bulk; any input it rejects goes to
+    `_raise_first_error`, which rescans it line by line and reports the
+    first bad line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    # every line left must be blank or hold two tokens
+    if {0, 2}.issuperset(map(len, map(str.split, lines))):
+        try:
+            nums = list(map(int, " ".join(lines).split()))
+        except ValueError:
+            nums = []
+        if len(nums) >= 2 and nums[0] >= 0:
+            n, m = nums[0], nums[1]
+            body = nums[2:]
+            tails, heads = body[0::2], body[1::2]
+            if len(tails) == m and (
+                not body or (min(body) >= 0 and max(body) < n)
+            ) and not any(map(int.__eq__, tails, heads)):
+                if not directed and not all(map(int.__lt__, tails, heads)):
+                    tails, heads = list(map(min, tails, heads)), list(map(max, tails, heads))
+                pairs = frozenset(zip(tails, heads))
+                if len(pairs) == m:
+                    return n, pairs
+    _raise_first_error(text, directed)
+
+
+def _raise_first_error(text: str, directed: bool):
+    """Raise the error of the first bad line of an edge list that
+    `_parse_edge_list` rejected, with its line number."""
     n = None
-    m = None
     seen: set[tuple[int, int]] = set()
     header_done = False
     expected = 0
@@ -202,13 +255,12 @@ def _parse_edge_list(text: str, directed: bool):
             if len(parts) != 2:
                 raise MalformedLine("expected header 'n m'", lineno)
             try:
-                n, m = int(parts[0]), int(parts[1])
+                n, expected = int(parts[0]), int(parts[1])
             except ValueError:
                 raise MalformedLine("expected header 'n m'", lineno) from None
-            if n < 0 or m < 0:
+            if n < 0 or expected < 0:
                 raise MalformedLine("negative count in header", lineno)
             header_done = True
-            expected = m
             continue
         if len(seen) >= expected:
             raise MalformedLine("more lines than declared in header", lineno)
@@ -230,16 +282,15 @@ def _parse_edge_list(text: str, directed: bool):
     if not header_done:
         raise MalformedLine("missing header 'n m'", 1)
     if len(seen) != expected:
-        raise MalformedLine(
-            f"declared {expected} lines, found {len(seen)}", 1
-        )
-    return n, frozenset(seen)
+        raise MalformedLine(f"declared {expected} lines, found {len(seen)}", 1)
+    raise InvariantError("the edge-list parser rejected a valid input")
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format: header "n m", then m lines "tail head"."""
     n, arcs = _parse_edge_list(text, directed=True)
-    return Digraph(n, arcs)
+    # every arc is already checked by the parser
+    return Digraph._normalised(n, arcs)
 
 
 def parse_ugraph(text: str) -> UGraph:
@@ -295,12 +346,12 @@ def underlying_graph(d: Digraph) -> UGraph:
 
 
 def bidirect(g: UGraph) -> Digraph:
-    """Replace every edge {x,y} with the two arcs (x,y) and (y,x)."""
-    arcs = set()
-    for (u, v) in g.edges:
-        arcs.add((u, v))
-        arcs.add((v, u))
-    return Digraph(g.n, frozenset(arcs))
+    """Replace every edge {x,y} with the two arcs (x,y) and (y,x).
+
+    The arcs are g's own edge tuples and one reversed tuple per edge, and
+    the digraph's out-lists are g's sorted adjacency lists, built once."""
+    arcs = g.edges.union([(v, u) for (u, v) in g.edges])
+    return Digraph._normalised(g.n, arcs, g.adjacency())
 
 
 # ---------------------------------------------------------------------------

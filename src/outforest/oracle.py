@@ -166,7 +166,12 @@ def oracle_forest(
                 children[cand] -= 1
         return None
 
-    return search(0)
+    try:
+        return search(0)
+    finally:
+        # search refers to itself through its closure cell: clearing the
+        # cell breaks that cycle, so refcounting frees the search state
+        search = None
 
 
 def oracle_matching(g: UGraph, budget: OracleBudget = OracleBudget()) -> Matching:
@@ -212,7 +217,10 @@ def oracle_matching(g: UGraph, budget: OracleBudget = OracleBudget()) -> Matchin
         memo[mask] = result
         return result
 
-    size = best(0)
+    try:
+        size = best(0)
+    finally:
+        best = None  # breaks the closure's cycle, as in oracle_forest
     edges = []
     mask = 0
     # every mask reached here was memoised while computing best(0)

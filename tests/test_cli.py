@@ -353,6 +353,90 @@ class TestScottOutputPinned:
         assert digest.hexdigest() == outputs
 
 
+class TestDecideOutputPinned:
+    """`decide --kind almost-perfect --json` on the benchmark's
+    gadget-decide pools of seeds 1-3, pinned byte for byte by digest of
+    every exit code, stdout and stderr."""
+
+    # seed: (sha256 of the generated inputs, sha256 of every outcome)
+    DIGESTS = {
+        1: ("3995bad5b8e1e68de5ebb396706440aee860086e05fee2ef55d6249a8492be71",
+            "59e3ae67d57cef7378f31f393dd4b75163bbc1a7aafc9430cf4dc167f6b782fe"),
+        2: ("290f6beadb0615df0029d52325a92f59087bffbfd50cf6a6724395dcddc6d90c",
+            "9d0e069786fc5d29d6dbb98f0dfbe6bf35e9f91e90014c71467bba7ace1df683"),
+        3: ("620e9c70dd4523343732fd0179a7d2f9c8589d6eaf81979640bd9bed0e487878",
+            "c27163488c9045d6d9b92300877969653546b911001f47696c0404ead77665db"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_byte_identical(self, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import gen
+
+        manifest = gen.generate("gadget-decide", seed, tmp_path)
+        inputs, outputs = self.DIGESTS[seed]
+        assert manifest["inputs_sha256"] == inputs, "the benchmark generator changed"
+        digest = hashlib.sha256()
+        for inst in manifest["instances"]:
+            code = run(["decide", "--kind", "almost-perfect", "--json",
+                        str(tmp_path / inst["file"])])
+            captured = capsys.readouterr()
+            digest.update(f"{code}\n{captured.out}\0{captured.err}\0".encode())
+        assert digest.hexdigest() == outputs
+
+
+class TestOracleCertifyPinned:
+    """Every oracle-certify op of seeds 1-3 (decide_weak, both oracle
+    kinds, both matchers, the 3DM reduction and its read-back), run and
+    encoded as perfbench/worker.py does, pinned by digest."""
+
+    DIGESTS = {
+        1: ("9449ddf89396cbdbeb7371e2f7d75f3b1a8d34bd087b3becdff19da9dc6e496d",
+            "a542ad7c1e01b3d0596f8d31bf398b1010fcf6c1d92bf2d4a903ce1a59201409"),
+        2: ("6de03b4550fc6cdea08d4e4e2ffeadb94892340344dd46f6f3bb442253f5eb4e",
+            "7705ab579ff7e5c22caf11ee10e4a29e5262989e8ebffc91e47c4363e4bc661a"),
+        3: ("33739d8e038818ba614ab2534abcc6f8bec5f2dc3109ae6423c14d34d10d5dae",
+            "d62523243aad8b3b51d3ff6b11bcfc85927a30f363f6b0b588403499db98723a"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_byte_identical(self, seed, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import gen
+        import worker
+
+        manifest = gen.generate("oracle-certify", seed, tmp_path)
+        inputs, outputs = self.DIGESTS[seed]
+        assert manifest["inputs_sha256"] == inputs, "the benchmark generator changed"
+        digest = hashlib.sha256()
+        for inst in manifest["instances"]:
+            op, encode = worker.make_op(inst, tmp_path / inst["file"])
+            code, text = encode(op())
+            digest.update(f"{code}\n{text}\0".encode())
+        assert digest.hexdigest() == outputs
+
+
+class TestInputSizeGuard:
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["decide", "--kind", "even"], ["match"], ["scott"],
+    ])
+    def test_refused_before_any_vertex_work(self, argv, tmp_path, monkeypatch, capsys):
+        def vertex_work(*args):
+            raise RuntimeError("vertex work started")
+
+        for name in ("classify", "weak_components", "maximum_matching",
+                     "perfect_forest_undirected"):
+            monkeypatch.setattr(cli, name, vertex_work)
+        p = tmp_path / "big.txt"
+        # n + m one over the bound, then at it
+        p.write_text(f"{cli.INPUT_MAX_SIZE} 1\n0 1\n")
+        assert run([*argv, str(p)]) == 2
+        assert f"over the limit of {cli.INPUT_MAX_SIZE}" in capsys.readouterr().err
+        p.write_text(f"{cli.INPUT_MAX_SIZE - 1} 1\n0 1\n")
+        assert run([*argv, str(p)]) == 3
+        assert "vertex work started" in capsys.readouterr().err
+
+
 def _caterpillar(n):
     """Spine 0..k, vertex i of 1..k carrying leaf k+i, and vertex 2k+1
     after k: n = 2k+2 vertices, a tree of depth about n/2."""

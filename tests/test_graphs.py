@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -26,8 +28,10 @@ from outforest.errors import (
     MalformedLine,
     NotReachable,
     OutOfRangeVertex,
+    ParseError,
     SelfLoop,
 )
+from outforest.graphs import _parse_edge_list
 
 TWO_CYCLE = Digraph(2, {(0, 1), (1, 0)})
 PATH4 = Digraph(4, {(0, 1), (1, 2), (2, 3)})
@@ -86,6 +90,162 @@ class TestParse:
         assert parse_ugraph("3 2\n1 0\n2 1").edges == {(0, 1), (1, 2)}
 
 
+def _line_loop_parse(text, directed):
+    """Reference: the edge-list parser as one loop over the lines, each
+    checked as it is read.  Returns n and the frozenset of pairs."""
+    n = None
+    m = None
+    seen = set()
+    header_done = False
+    expected = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if not header_done:
+            if len(parts) != 2:
+                raise MalformedLine("expected header 'n m'", lineno)
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise MalformedLine("expected header 'n m'", lineno) from None
+            if n < 0 or m < 0:
+                raise MalformedLine("negative count in header", lineno)
+            header_done = True
+            expected = m
+            continue
+        if len(seen) >= expected:
+            raise MalformedLine("more lines than declared in header", lineno)
+        if len(parts) != 2:
+            raise MalformedLine("expected two vertex indices", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise MalformedLine("expected two vertex indices", lineno) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise OutOfRangeVertex(f"vertex out of range 0..{n - 1}", lineno)
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}", lineno)
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            kind = "arc" if directed else "edge"
+            raise DuplicateArc(f"duplicate {kind} ({u},{v})", lineno)
+        seen.add(key)
+    if not header_done:
+        raise MalformedLine("missing header 'n m'", 1)
+    if len(seen) != expected:
+        raise MalformedLine(
+            f"declared {expected} lines, found {len(seen)}", 1
+        )
+    return n, frozenset(seen)
+
+
+def _fuzzed_edge_list(rng):
+    """A small edge list, well formed or broken in one or more of the ways
+    the format allows or forbids."""
+    n = rng.choice([0, 1, 2, 4, 6, 8, 12])
+    m = rng.randrange(0, 6)
+
+    def vertex(v):
+        if rng.random() < 0.03:
+            v = rng.randrange(-1, n + 2)
+        style = rng.random()
+        if style < 0.03:
+            return f"+{v}"
+        if style < 0.05:
+            return "_".join(str(v))  # int() reads "1_0" as 10
+        if style < 0.06:
+            return rng.choice(["x", "1.0", "0x1", "", "٣"])
+        return str(v)
+
+    def pair_line(u, v):
+        sep = rng.choice([" ", "  ", "\t", " \t "])
+        line = f"{u}{sep}{v}"
+        roll = rng.random()
+        if roll < 0.02:
+            line += " 7"  # an extra token
+        elif roll < 0.04:
+            line = str(u)  # a missing one
+        elif roll < 0.05:
+            line += "#x"
+        return rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t"])
+
+    lines = []
+    for _ in range(rng.randrange(3)):
+        lines.append(rng.choice(["", "   ", "# comment", "  # 1 2", "#"]))
+    roll = rng.random()
+    if roll < 0.05:
+        lines.append(f"{n} {m} 1")
+    elif roll < 0.1:
+        lines.append(f"{n}")
+    elif roll < 0.13:
+        lines.append(f"{n} -{m}" if m else f"-1 {m}")
+    elif roll < 0.16:
+        lines.append(f"n {m}")
+    elif roll < 0.18:
+        pass  # no header
+    else:
+        lines.append(rng.choice(["", "+"]) + f"{n}" + rng.choice([" ", "\t"]) + f"{m}")
+    written = []
+    for _ in range(max(0, m + rng.choice([0, 0, 0, 0, -1, 1, 2]))):
+        if written and rng.random() < 0.1:
+            u, v = rng.choice(written)
+            if rng.random() < 0.5:
+                u, v = v, u  # the same pair, in either orientation
+        elif rng.random() < 0.03 and n:
+            u = v = rng.randrange(n)
+        else:
+            u, v = rng.sample(range(n), 2) if n >= 2 else (0, 1)
+            u, v = vertex(u), vertex(v)
+        written.append((u, v))
+        lines.append(pair_line(u, v))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", " ", "# between"]))
+    eol = rng.choice(["\n", "\n", "\r\n", "\r"])
+    return eol.join(lines) + rng.choice(["", eol])
+
+
+class TestParserAgainstLineLoop:
+    """The bulk parser gives what the line-by-line loop gives: the same
+    n and pairs, or the same exception class, message and line number."""
+
+    @staticmethod
+    def outcome(parse, text, directed):
+        try:
+            return parse(text, directed)
+        except ParseError as exc:
+            return type(exc), str(exc), exc.line
+
+    def test_seeded_fuzz(self):
+        rng = random.Random(1511)
+        kinds = set()
+        for _ in range(4000):
+            text = _fuzzed_edge_list(rng)
+            for directed in (True, False):
+                expected = self.outcome(_line_loop_parse, text, directed)
+                got = self.outcome(_parse_edge_list, text, directed)
+                assert got == expected, (text, directed)
+                if isinstance(expected[0], type):
+                    kinds.add(expected[0])
+                else:
+                    kinds.add("parsed")
+                    assert type(got[1]) is frozenset
+        # every outcome of the format occurs among the fuzzed inputs
+        assert kinds == {
+            "parsed", MalformedLine, OutOfRangeVertex, SelfLoop, DuplicateArc,
+        }
+
+    @pytest.mark.parametrize("text", [
+        "", "   \n", "# only a comment\n", "0 0", "0 0\n\n", "3 0\n# no pairs",
+        "2 1\r\n0 1\r\n", "3 2\n\t2\t1 \n+0 1_0\n", "3 2\n2 1\n1 2\n",
+    ])
+    def test_edge_cases(self, text):
+        for directed in (True, False):
+            assert (self.outcome(_parse_edge_list, text, directed)
+                    == self.outcome(_line_loop_parse, text, directed))
+
+
 class TestAdjacency:
     def test_views_built_once(self):
         d = Digraph(3, {(2, 0), (0, 1), (0, 2), (1, 0)})
@@ -131,6 +291,30 @@ class TestUnderlyingAndBidirect:
     @given(ugraphs())
     def test_round_trip_identity(self, g):
         assert underlying_graph(bidirect(g)) == g
+
+
+class TestCheckedConstructors:
+    """`parse_digraph` and `bidirect` build their digraphs without the
+    checks of `Digraph.__post_init__`, and `bidirect` hands over g's
+    adjacency as the out-lists: each must equal a checked build."""
+
+    @staticmethod
+    def assert_same_as_checked_build(d):
+        checked = Digraph(d.n, set(d.arcs))
+        assert d == checked and type(d.arcs) is frozenset
+        assert d.out_neighbors() == checked.out_neighbors()
+        assert d.in_neighbors() == checked.in_neighbors()
+        assert d.sorted_arcs() == checked.sorted_arcs()
+
+    @given(ugraphs())
+    def test_bidirect(self, g):
+        d = bidirect(g)
+        self.assert_same_as_checked_build(d)
+        assert d.arcs == {a for (u, v) in g.edges for a in ((u, v), (v, u))}
+
+    @given(digraphs())
+    def test_parse_digraph(self, d):
+        self.assert_same_as_checked_build(parse_digraph(format_digraph(d)))
 
 
 class TestClassify:
@@ -269,6 +453,13 @@ class TestOutTree:
     def test_parent_outside_tree_rejected(self):
         with pytest.raises(ValueError, match="not a tree vertex"):
             OutTree(4, 0, {1: 0, 2: 3})
+
+    def test_walk_kept_from_the_acyclicity_check(self):
+        t = OutTree(5, 0, {3: 0, 1: 3, 4: 0, 2: 4})
+        assert t.bfs_order() is t.bfs_order()
+        assert t.bfs_order() == [0, 3, 4, 1, 2]
+        assert t == OutTree(5, 0, {3: 0, 1: 3, 4: 0, 2: 4})
+        assert repr(t) == "OutTree(n=5, root=0, parent={3: 0, 1: 3, 4: 0, 2: 4})"
 
     def test_long_path_split(self):
         n = 5000

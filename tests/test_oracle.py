@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -257,6 +258,38 @@ class TestOracleMatching:
         for n in range(7, 13):
             for g in sample_ugraphs(n, 60, seed=70 + n):
                 assert oracle_matching(g, budget) == _reference_oracle_matching(g), g
+
+
+class TestNoReferenceCycles:
+    """The searches leave no cyclic garbage: with the cyclic collector
+    off, refcounting frees everything a call made, after a result and
+    after BudgetExceeded alike."""
+
+    def test_collector_finds_nothing(self):
+        d = next(sample_digraphs(8, 1, seed=3))
+        g = next(sample_ugraphs(10, 1, seed=3))
+        forest_budget = OracleBudget(max_vertices=8)
+        matching_budget = OracleBudget(max_vertices=10)
+        tight = OracleBudget(max_vertices=10, max_states=5)
+        gc.collect()
+        gc.disable()
+        try:
+            for kind in KINDS:
+                oracle_forest(d, kind, forest_budget)
+                assert gc.collect() == 0, kind
+            oracle_matching(g, matching_budget)
+            assert gc.collect() == 0
+            for run in (lambda: oracle_forest(d, ForestKind.PERFECT, tight),
+                        lambda: oracle_matching(g, tight)):
+                try:
+                    run()
+                except BudgetExceeded:
+                    pass
+                else:
+                    raise AssertionError("the state budget was not exceeded")
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEnumeration:
