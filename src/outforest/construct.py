@@ -33,18 +33,18 @@ from itertools import accumulate
 from .errors import (
     InvariantError,
     NotPerfectMatching,
+    NotReachable,
     NotWeakPerfect,
     OddOrder,
     WrongClass,
 )
-from .forests import ForestKind, OutForest, verify
+from .forests import ForestKind, OutForest, _forward_and_cross, verify
 from .graphs import (
     Arc,
     Digraph,
     Edge,
     OutTree,
     UGraph,
-    _reach,
     bidirect,
     classify,
     find_universal_root,
@@ -252,6 +252,10 @@ def forest_to_matching(
     internal-pair vertices two by two, and leftover whole pairs are matched
     internally.  Each vertex covers an even number of internal-pair
     vertices, so the leftovers are exactly unions of full pairs.
+
+    No route calls it; it stays because the tests check the forest-gadget
+    correspondence in this direction, and a warm-started matcher would
+    map forests into the gadget the same way.
     """
     report = verify(d, f, ForestKind.WEAK_PERFECT)
     if not report.passed:
@@ -285,7 +289,11 @@ def gadget_forest(d: Digraph) -> OutForest | None:
     m = perfect_matching(g)
     if m is None:
         return None
-    return remove_cycles(matching_to_arcset(d, m, c))
+    # the matching is this function's own: a bad one is an internal fault
+    try:
+        return remove_cycles(matching_to_arcset(d, m, c))
+    except (NotPerfectMatching, ValueError) as exc:
+        raise InvariantError(f"gadget matching read back badly: {exc}") from exc
 
 
 def decide_weak(d: Digraph) -> OutForest | None:
@@ -349,46 +357,40 @@ def weak_to_almost(d: Digraph, f: OutForest) -> OutForest:
 
     The same argument lets the pass classify each arc once against the
     entry forest f, in O(1) by preorder interval, and skip its tree,
-    backward and inter-tree arcs.  Only entry forward and cross arcs
-    climb the current forest, from u and v in turn, marking each vertex
-    with the arc's index until one side meets a vertex the other marked:
-    their lowest common ancestor w.  A swap deletes both climbed paths,
-    so the swaps cost O(n + swaps) climb steps in all.  An arc whose
-    endpoints lie in different trees by its turn climbs to both roots.
+    backward and inter-tree arcs.  Only its forward and cross arcs, listed
+    by one scan (`_forward_and_cross`), climb the current forest, from u
+    and v in turn, marking each vertex with the arc's index until one side
+    meets a vertex the other marked: their lowest common ancestor w.  A
+    swap deletes both climbed paths, so the swaps cost O(n + swaps) climb
+    steps in all.  An arc whose endpoints lie in different trees by its
+    turn climbs to both roots.
     The pass edits one parent map and builds a single forest at the end,
     which is checked to be almost perfect (InvariantError if not).
     """
     report = verify(d, f, ForestKind.WEAK_PERFECT)
     if not report.passed:
         raise NotWeakPerfect(report.to_json())
-    tree_id, entry_parent = f.tree_id, f.parent
-    pre, end = f.intervals()
-    parent = dict(entry_parent)
+    parent = dict(f.parent)
     mark = [-1] * f.n
-    i = 0  # numbers the climbing arcs, to tell their marks apart
-    for u, heads in enumerate(d.out_neighbors()):
-        for v in heads:
-            if (tree_id[u] != tree_id[v] or entry_parent.get(v) == u
-                    or pre[v] < pre[u] < end[v]):
-                continue  # an entry inter-tree, tree or backward arc
-            i += 1
-            w = None  # stays None if both climbs reach a root: inter-tree by now
-            mark[u] = mark[v] = i
-            a, b = u, v
-            while a in parent or b in parent:
-                if a in parent:
-                    a = parent[a]
-                    if mark[a] == i:
-                        w = a
-                        break
-                    mark[a] = i
-                a, b = b, a
-            if w is None or w == v:  # w == v: backward by now
-                continue
-            for a in (u, v):
-                while a != w:
-                    a = parent.pop(a)
-            parent[v] = u
+    # i numbers the climbing arcs, to tell their marks apart
+    for i, (u, v) in enumerate(_forward_and_cross(d, f)):
+        w = None  # stays None if both climbs reach a root: inter-tree by now
+        mark[u] = mark[v] = i
+        a, b = u, v
+        while a in parent or b in parent:
+            if a in parent:
+                a = parent[a]
+                if mark[a] == i:
+                    w = a
+                    break
+                mark[a] = i
+            a, b = b, a
+        if w is None or w == v:  # w == v: backward by now
+            continue
+        for a in (u, v):
+            while a != w:
+                a = parent.pop(a)
+        parent[v] = u
     f = OutForest(f.n, parent)
     report = verify(d, f, ForestKind.ALMOST_PERFECT)
     if not report.passed:
@@ -415,18 +417,23 @@ def perfect_forest_undirected(g: UGraph) -> set[Edge] | None:
     bidirection; None for odd order or disconnected input.
 
     g is connected exactly when vertex 0 reaches every vertex of the
-    bidirected digraph, one search over its own out-lists.  Then every
-    vertex reaches every other, so the spanning out-tree is rooted at 0
-    with no search for a root.  weak_to_almost has already checked the
-    forest almost perfect, which in a bidirected digraph makes it perfect
-    (see extract_perfect_forest).
+    bidirected digraph, so one search, the spanning out-tree from 0, both
+    decides it (NotReachable if not) and gives the tree.  weak_to_almost
+    has already checked the forest almost perfect, which in a bidirected
+    digraph makes it perfect (see extract_perfect_forest).
     """
     if g.n == 0:
         return set()
     if g.n % 2 == 1:
         return None
     d = bidirect(g)
-    if len(_reach(0, [False] * d.n, d.out_neighbors())) < d.n:
+    try:
+        tree = spanning_out_tree(d, 0)
+    except NotReachable:
         return None
-    f = weak_to_almost(d, even_tree_to_weak(spanning_out_tree(d, 0)))
+    # the split is this function's own: a bad one is an internal fault
+    try:
+        f = weak_to_almost(d, even_tree_to_weak(tree))
+    except NotWeakPerfect as exc:
+        raise InvariantError(f"even-tree split is not weak perfect: {exc}") from exc
     return {(p, c) if p < c else (c, p) for c, p in f.parent.items()}

@@ -33,49 +33,53 @@ class ArcClass(enum.Enum):
 
 class OutForest:
     """Spanning out-forest: per-vertex optional parent, acyclic, in-degree
-    at most one.  Tree ids (the root vertex) and depths are derived caches
-    computed on construction.
+    at most one.  One pass over the vertices lists the roots and the
+    children, each list ascending; one depth-first walk from the roots
+    gives tree ids (the root vertex) and preorder intervals.  Ancestry is
+    read off the intervals (the parenthesis theorem, Tarjan 1972): a is a
+    proper ancestor of v exactly when pre[a] < pre[v] < end[a], where
+    end[a] is one past the last preorder index of a's subtree."""
 
-    Ancestry is read off preorder intervals of a depth-first walk (the
-    parenthesis theorem, Tarjan 1972): a is a proper ancestor of v exactly
-    when pre[a] < pre[v] < end[a], where end[a] is one past the last
-    preorder index of a's subtree.  The intervals are computed on first
-    use and cached, so building a forest costs nothing extra."""
-
-    __slots__ = ("n", "parent", "tree_id", "depth", "children", "roots", "_intervals")
+    __slots__ = ("n", "parent", "tree_id", "children", "roots", "_intervals")
 
     def __init__(self, n: int, parent: dict[int, int]):
         self.n = n
-        self.parent = dict(parent)
-        for c, p in self.parent.items():
-            if not (0 <= c < n and 0 <= p < n):
+        self.parent = parent = dict(parent)
+        self.children = children = [[] for _ in range(n)]
+        self.roots = roots = []
+        for c in range(n):
+            if c not in parent:
+                roots.append(c)
+                continue
+            p = parent[c]
+            if not 0 <= p < n:
                 raise ValueError(f"arc ({p},{c}) out of range for n={n}")
             if c == p:
                 raise ValueError(f"self-parent at {c}")
-        self.children: list[list[int]] = [[] for _ in range(n)]
-        for c, p in self.parent.items():
-            self.children[p].append(c)
-        for cs in self.children:
-            cs.sort()
-        self.roots = sorted(v for v in range(n) if v not in self.parent)
-        # depth / tree-id by walking down from the roots; leftover vertices
-        # are on a parent cycle
-        self.depth = [-1] * n
-        self.tree_id = [-1] * n
+            children[p].append(c)
+        if len(roots) + len(parent) != n:  # a child outside 0..n-1
+            c = next(c for c in parent if not 0 <= c < n)
+            raise ValueError(f"arc ({parent[c]},{c}) out of range for n={n}")
+        self.tree_id = tree_id = [-1] * n
+        pre = [0] * n
+        order = []
         stack = []
-        for r in self.roots:
-            self.depth[r] = 0
-            self.tree_id[r] = r
+        for r in roots:
             stack.append(r)
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                self.depth[c] = self.depth[v] + 1
-                self.tree_id[c] = self.tree_id[v]
-                stack.append(c)
-        bad = [v for v in range(n) if self.depth[v] < 0]
-        if bad:
+            while stack:
+                v = stack.pop()
+                tree_id[v] = r
+                pre[v] = len(order)
+                order.append(v)
+                stack.extend(children[v])
+        if len(order) < n:  # the vertices left are on a parent cycle
+            bad = [v for v in range(n) if tree_id[v] < 0]
             raise ValueError(f"cycle in parent relation through {bad}")
+        size = [1] * n
+        for v in reversed(order):
+            if v in parent:
+                size[parent[v]] += size[v]
+        self._intervals = pre, [a + s for a, s in zip(pre, size)]
 
     def __eq__(self, other):
         return (
@@ -106,31 +110,12 @@ class OutForest:
 
     def intervals(self) -> tuple[list[int], list[int]]:
         """Preorder index and subtree end of every vertex (see the class
-        docstring), computed on the first call and shared by later ones,
-        which must not mutate them."""
-        try:
-            return self._intervals
-        except AttributeError:
-            pass
-        pre = [0] * self.n
-        size = [1] * self.n
-        order = []
-        stack = list(self.roots)
-        while stack:
-            v = stack.pop()
-            pre[v] = len(order)
-            order.append(v)
-            stack.extend(self.children[v])
-        parent = self.parent
-        for v in reversed(order):
-            if v in parent:
-                size[parent[v]] += size[v]
-        self._intervals = pre, [p + s for p, s in zip(pre, size)]
+        docstring), shared by every caller, which must not mutate them."""
         return self._intervals
 
     def is_ancestor(self, a: int, v: int) -> bool:
         """True iff a is a proper ancestor of v."""
-        pre, end = self.intervals()
+        pre, end = self._intervals
         return pre[a] < pre[v] < end[a]
 
 
@@ -150,6 +135,17 @@ def classify_arc(d: Digraph, f: OutForest, arc: Arc) -> ArcClass:
     if pre[tail] < pre[head] < end[tail]:
         return ArcClass.FORWARD
     return ArcClass.CROSS
+
+
+def _forward_and_cross(d: Digraph, f: OutForest) -> list[Arc]:
+    """The forward and cross arcs of d relative to f, in (tail, head)
+    order: the arcs inside one tree that are neither tree nor backward
+    arcs.  `classify_arc`'s tests, one scan of the out-lists."""
+    tree_id, parent = f.tree_id, f.parent
+    pre, end = f.intervals()
+    return [(u, v) for u, heads in enumerate(d.out_neighbors()) for v in heads
+            if tree_id[u] == tree_id[v] and parent.get(v) != u
+            and not pre[v] < pre[u] < end[v]]
 
 
 @dataclass(frozen=True)
@@ -201,22 +197,17 @@ def verify(d: Digraph, f: OutForest, kind: ForestKind) -> VerificationReport:
             violations.append(("even-degree", (v, deg)))
 
     if kind is ForestKind.ALMOST_PERFECT:
-        # classify_arc's tests, inlined to save a call per arc
-        tree_id = f.tree_id
         pre, end = f.intervals()
-        # the out-lists give the arcs in (tail, head) order, without tuples
-        for u, heads in enumerate(d.out_neighbors()):
-            for v in heads:
-                if (tree_id[u] != tree_id[v] or parent.get(v) == u
-                        or pre[v] < pre[u] < end[v]):
-                    continue
-                cls = ArcClass.FORWARD if pre[u] < pre[v] < end[u] else ArcClass.CROSS
-                violations.append(("forbidden-arc", ((u, v), cls.value)))
+        for (u, v) in _forward_and_cross(d, f):
+            cls = ArcClass.FORWARD if pre[u] < pre[v] < end[u] else ArcClass.CROSS
+            violations.append(("forbidden-arc", ((u, v), cls.value)))
     elif kind is ForestKind.PERFECT:
         # each tree induced: every arc of d inside one tree is a tree arc
-        for (u, v) in d.sorted_arcs():
-            if f.tree_id[u] == f.tree_id[v] and f.parent.get(v) != u:
-                violations.append(("not-induced", (u, v)))
+        tree_id = f.tree_id
+        for u, heads in enumerate(d.out_neighbors()):
+            for v in heads:
+                if tree_id[u] == tree_id[v] and parent.get(v) != u:
+                    violations.append(("not-induced", (u, v)))
     return VerificationReport(tuple(violations))
 
 
@@ -226,6 +217,10 @@ def extract_perfect_forest(g: UGraph, f: OutForest) -> set[Edge]:
     In a bidirected digraph an almost perfect out-forest cannot have
     backward arcs (each would come with a forbidden forward arc), so its
     trees are induced in g and the result is a perfect forest of g.
+
+    No route calls it (`scott` reads the edges off a forest it has already
+    checked); it stays public because the tests use it and
+    perfbench/tracing.py wraps it by name.
     """
     report = verify(bidirect(g), f, ForestKind.ALMOST_PERFECT)
     if not report.passed:

@@ -66,21 +66,15 @@ class Digraph:
             d.__dict__["_out_neighbors"] = out_neighbors
         return d
 
-    # The three views below are computed once per digraph and shared by
-    # every caller, which must not mutate them.
+    # The two views below are computed once per digraph and shared by
+    # every caller, which must not mutate them.  Walked in vertex order,
+    # the out-lists give the arcs in ascending (tail, head) order.
 
     def out_neighbors(self) -> list[list[int]]:
         return self._out_neighbors
 
     def in_neighbors(self) -> list[list[int]]:
         return self._in_neighbors
-
-    def sorted_arcs(self) -> list[Arc]:
-        return self._sorted_arcs
-
-    @cached_property
-    def _sorted_arcs(self) -> list[Arc]:
-        return [(u, v) for u, vs in enumerate(self._out_neighbors) for v in vs]
 
     @cached_property
     def _out_neighbors(self) -> list[list[int]]:
@@ -301,7 +295,7 @@ def parse_ugraph(text: str) -> UGraph:
 
 def format_digraph(d: Digraph) -> str:
     lines = [f"{d.n} {len(d.arcs)}"]
-    lines += [f"{u} {v}" for (u, v) in d.sorted_arcs()]
+    lines += [f"{u} {v}" for u, vs in enumerate(d.out_neighbors()) for v in vs]
     return "\n".join(lines) + "\n"
 
 
@@ -317,9 +311,10 @@ def digraph_dot(d: Digraph, bold_arcs: set[Arc] | None = None) -> str:
     lines = ["digraph {"]
     for v in range(d.n):
         lines.append(f"  {v};")
-    for (u, v) in d.sorted_arcs():
-        attr = " [style=bold]" if (u, v) in bold else ""
-        lines.append(f"  {u} -> {v}{attr};")
+    for u, vs in enumerate(d.out_neighbors()):
+        for v in vs:
+            attr = " [style=bold]" if (u, v) in bold else ""
+            lines.append(f"  {u} -> {v}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -341,7 +336,10 @@ def ugraph_dot(g: UGraph, bold_edges: set[Edge] | None = None) -> str:
 
 
 def underlying_graph(d: Digraph) -> UGraph:
-    """Forget arc directions; antiparallel pairs collapse to one edge."""
+    """Forget arc directions; antiparallel pairs collapse to one edge.
+
+    No route calls it; it stays public because the tests use it and
+    perfbench/tracing.py wraps it by name."""
     return UGraph(d.n, frozenset((min(u, v), max(u, v)) for (u, v) in d.arcs))
 
 

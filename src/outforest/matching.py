@@ -141,7 +141,3 @@ def _blossom_matching(g: UGraph, stop_at_failed_search: bool) -> Matching | None
         (u, match[u]) for u in range(n) if match[u] != -1 and u < match[u]
     )
     return Matching(edges)
-
-
-def has_perfect_matching(g: UGraph) -> bool:
-    return perfect_matching(g) is not None

@@ -12,6 +12,7 @@ import outforest
 from conftest import check_undirected_perfect_forest
 from outforest import (
     ForestKind,
+    Matching,
     OutForest,
     UGraph,
     VerificationReport,
@@ -170,6 +171,22 @@ class TestInvariantChecks:
         monkeypatch.setattr(construct, "OutForest", first_forest)
         assert run(["scott", str(graph)]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_gadget_read_back_fault_is_internal_error(self, monkeypatch, tmp_path, capsys):
+        # two initial components: the gadget route reads back its own matching
+        graph = tmp_path / "g.dg"
+        graph.write_text("4 2\n0 1\n2 3\n")
+        monkeypatch.setattr(construct, "perfect_matching", lambda g: Matching(frozenset()))
+        assert run(["decide", "--kind", "weak-perfect", str(graph)]) == 3
+        err = capsys.readouterr().err
+        assert "internal error: " in err and "covers 0 of 4" in err, err
+
+    def test_split_fault_is_internal_error(self, monkeypatch, tmp_path, capsys):
+        graph = tmp_path / "g.ug"
+        graph.write_text(PATH4)
+        monkeypatch.setattr(construct, "even_tree_to_weak", lambda t: OutForest(t.n, {}))
+        assert run(["scott", str(graph)]) == 3
+        assert capsys.readouterr().err.startswith("internal error")
 
 
 class TestConstructVerifyRoundTrip:
@@ -383,6 +400,53 @@ class TestDecideOutputPinned:
             captured = capsys.readouterr()
             digest.update(f"{code}\n{captured.out}\0{captured.err}\0".encode())
         assert digest.hexdigest() == outputs
+
+
+class TestDigraphWritersPinned:
+    """The two digraph writers, `format_digraph` and `digraph_dot`:
+    `reduce-3dm`, as text and with --dot, on the 3DM instances of the
+    benchmark's oracle-certify pools, and `decide --kind weak-perfect
+    --dot` on its gadget-decide pools, seeds 1-3, pinned by digest of
+    every exit code, stdout and stderr."""
+
+    # (command, seed): sha256 of every outcome
+    DIGESTS = {
+        ("reduce-3dm", 1): "dd63a2fcf00c92c40650135507cba114afe46699bf3a0b769782d67c3204a3d3",
+        ("reduce-3dm", 2): "88e66e92d73b420d5c5efe9a4a5ec4d5703833833065ed8f903686a9ce8907f4",
+        ("reduce-3dm", 3): "965b7371fab2158fbd38464609c3b577addce48ef7db5c28f552ab56f1c1220f",
+        ("reduce-3dm --dot", 1):
+            "6f7f1c25d5c51716ba852716fd7dae17f156d7a87099dab64158b848ed6565c5",
+        ("reduce-3dm --dot", 2):
+            "c64c6e52cf7a3b1ea6d4d716a30e3de8e8cf2d6e5416a76fba14bb4336b11109",
+        ("reduce-3dm --dot", 3):
+            "f007b82a10554ee92b9dfbd6c16eeb4c952ff3f88d42d2c7303dd84b328316c7",
+        ("decide --kind weak-perfect --dot", 1):
+            "efdbf06c7f91fde9e12b4f4ac54a2d89a07f26d7dd6790df5c0b50796509989b",
+        ("decide --kind weak-perfect --dot", 2):
+            "566150cdf347d7bf213b289214f4958765f495ddf19db231a9d8c09dfe6b83a7",
+        ("decide --kind weak-perfect --dot", 3):
+            "7949cce8dbf6b55e708c1d8cd51cb2a0a56d34c2efca7200c41c1cb5bcb5809b",
+    }
+
+    @pytest.mark.parametrize("command, seed", sorted(DIGESTS))
+    def test_byte_identical(self, command, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import gen
+
+        if command.startswith("decide"):
+            workload, kind, pinned = "gadget-decide", "digraph", TestDecideOutputPinned
+        else:
+            workload, kind, pinned = "oracle-certify", "cert-3dm", TestOracleCertifyPinned
+        manifest = gen.generate(workload, seed, tmp_path)
+        assert manifest["inputs_sha256"] == pinned.DIGESTS[seed][0], (
+            "the benchmark generator changed")
+        digest = hashlib.sha256()
+        for inst in manifest["instances"]:
+            if inst["type"] == kind:
+                code = run([*command.split(), str(tmp_path / inst["file"])])
+                captured = capsys.readouterr()
+                digest.update(f"{code}\n{captured.out}\0{captured.err}\0".encode())
+        assert digest.hexdigest() == self.DIGESTS[command, seed]
 
 
 class TestOracleCertifyPinned:

@@ -395,16 +395,22 @@ def _rescanning_weak_to_almost(d, f):
     replaced.  After every swap it searches again from the first arc.
     Returns the forest and the number of swaps."""
     forbidden = (ArcClass.FORWARD, ArcClass.CROSS)
-    arcs = d.sorted_arcs()
+    arcs = sorted(d.arcs)
     for swaps in range(d.n + 1):
         swap = next((a for a in arcs if classify_arc(d, f, a) in forbidden), None)
         if swap is None:
             return f, swaps
         u, v = swap
         parent = dict(f.parent)
+        depth = {}
+        for x in range(f.n):
+            y, steps = x, 0
+            while y in f.parent:
+                y, steps = f.parent[y], steps + 1
+            depth[x] = steps
         a, b = u, v
         while a != b:
-            if f.depth[a] < f.depth[b]:
+            if depth[a] < depth[b]:
                 a, b = b, a
             del parent[a]
             a = f.parent[a]

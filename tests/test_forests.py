@@ -31,7 +31,6 @@ class TestOutForest:
     def test_caches(self):
         f = OutForest(5, {1: 0, 2: 1, 4: 3})
         assert f.roots == [0, 3]
-        assert f.depth == [0, 1, 2, 0, 1]
         assert f.tree_id == [0, 0, 0, 3, 3]
         assert f.trees() == {0: [0, 1, 2], 3: [3, 4]}
 
@@ -118,6 +117,16 @@ def _walk_almost_violations(d: Digraph, n: int, parent: dict[int, int]):
     return tuple(violations)
 
 
+def _walk_perfect_violations(d: Digraph, n: int, parent: dict[int, int]):
+    """What verify(PERFECT) must report: the rules before the arc scan as
+    for ALMOST_PERFECT, then every arc inside one tree that is not a tree
+    arc, in ascending order."""
+    head = [v for v in _walk_almost_violations(d, n, parent) if v[0] != "forbidden-arc"]
+    inside = (ArcClass.BACKWARD, ArcClass.FORWARD, ArcClass.CROSS)
+    return tuple(head + [("not-induced", arc) for arc in sorted(d.arcs)
+                         if _walk_class(parent, arc) in inside])
+
+
 def _all_forests(n: int):
     """Every labelled rooted forest on 0..n-1, as a parent map: every
     parent choice whose walks all reach a root in fewer than n steps."""
@@ -162,12 +171,17 @@ def _random_host(rng: random.Random, n: int, parent: dict[int, int]) -> Digraph:
 
 
 class TestAncestryAgainstWalks:
-    """Preorder intervals against parent-pointer walks, which share no
-    code with them."""
+    """The forest's constructor walk and the verifier's arc scans against
+    parent-pointer walks, which share no code with them."""
 
     @staticmethod
     def check(n, parent, hosts):
         f = OutForest(n, parent)
+        assert f.children == [sorted(c for c, p in parent.items() if p == v)
+                              for v in range(n)], parent
+        assert f.roots == [v for v in range(n) if v not in parent], parent
+        assert f.tree_id == [(_walk_ancestors(parent, v) or [v])[-1]
+                             for v in range(n)], parent
         for a in range(n):
             for v in range(n):
                 assert f.is_ancestor(a, v) == (a in _walk_ancestors(parent, v)), (
@@ -180,6 +194,8 @@ class TestAncestryAgainstWalks:
         for d in (complete, *hosts):
             assert verify(d, f, ForestKind.ALMOST_PERFECT).violations == (
                 _walk_almost_violations(d, n, parent)), (parent, sorted(d.arcs))
+            assert verify(d, f, ForestKind.PERFECT).violations == (
+                _walk_perfect_violations(d, n, parent)), (parent, sorted(d.arcs))
 
     @pytest.mark.parametrize("n", range(6))
     def test_every_forest_of_small_order(self, n):

@@ -249,11 +249,10 @@ class TestParserAgainstLineLoop:
 class TestAdjacency:
     def test_views_built_once(self):
         d = Digraph(3, {(2, 0), (0, 1), (0, 2), (1, 0)})
-        for view in (d.out_neighbors, d.in_neighbors, d.sorted_arcs):
+        for view in (d.out_neighbors, d.in_neighbors):
             assert view() is view()
         assert d.out_neighbors() == [[1, 2], [0], [0]]
         assert d.in_neighbors() == [[1, 2], [0], [0]]
-        assert d.sorted_arcs() == [(0, 1), (0, 2), (1, 0), (2, 0)]
 
     @given(digraphs())
     def test_views_match_arcs(self, d):
@@ -263,7 +262,6 @@ class TestAdjacency:
         assert d.in_neighbors() == [
             sorted(u for (u, v) in d.arcs if v == x) for x in range(d.n)
         ]
-        assert d.sorted_arcs() == sorted(d.arcs)
 
     def test_views_not_part_of_equality(self):
         d = Digraph(2, {(0, 1)})
@@ -304,7 +302,6 @@ class TestCheckedConstructors:
         assert d == checked and type(d.arcs) is frozenset
         assert d.out_neighbors() == checked.out_neighbors()
         assert d.in_neighbors() == checked.in_neighbors()
-        assert d.sorted_arcs() == checked.sorted_arcs()
 
     @given(ugraphs())
     def test_bidirect(self, g):

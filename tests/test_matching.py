@@ -9,7 +9,6 @@ from outforest import (
     build_gadget,
     enumerate_digraphs,
     enumerate_ugraphs,
-    has_perfect_matching,
     maximum_matching,
     oracle_matching,
     perfect_matching,
@@ -65,17 +64,17 @@ class TestMaximumMatching:
     def test_k4_perfect(self):
         k4 = UGraph(4, {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})
         assert len(maximum_matching(k4)) == 2
-        assert has_perfect_matching(k4)
+        assert perfect_matching(k4) is not None
 
     def test_petersen_perfect(self):
         g = petersen()
         m = maximum_matching(g)
         assert len(m) == len(oracle_matching(g, BUDGET)) == 5
-        assert has_perfect_matching(g)
+        assert perfect_matching(g) is not None
 
     def test_single_edge_and_odd_path(self):
-        assert has_perfect_matching(UGraph(2, {(0, 1)}))
-        assert not has_perfect_matching(UGraph(3, {(0, 1), (1, 2)}))
+        assert perfect_matching(UGraph(2, {(0, 1)})) is not None
+        assert perfect_matching(UGraph(3, {(0, 1), (1, 2)})) is None
 
     def test_blossom_needed(self):
         # two triangles joined by an edge: needs odd-cycle handling

@@ -38,7 +38,7 @@ def _reference_oracle_forest(d, kind, budget=OracleBudget()):
     n = d.n
     in_nbrs = d.in_neighbors()
     candidates = [[None] + in_nbrs[v] for v in range(n)]
-    arcs = d.sorted_arcs()
+    arcs = sorted(d.arcs)
     parent = [None] * n
     assigned = [False] * n
     induced_prune = kind is ForestKind.PERFECT
