@@ -2,8 +2,13 @@
 
 Exit codes: 0 = decided/constructed/verified successfully, 1 = the object
 decided does not exist (or verification failed), 2 = input/usage error,
-3 = internal error (a failed invariant of this package, or any exception
-it did not raise on purpose, such as MemoryError or RecursionError).
+3 = internal error.  The exception's type alone picks 2 or 3: InputError
+(bad file contents or flags, an input over a size limit), OSError and
+UnicodeError give 2; every other exception, InvariantError, MemoryError
+and a ValueError from a constructor among them, is a fault of this
+package and gives 3.  `--time-limit`, when given, must be a positive,
+finite number of seconds.  `reduce-3dm` refuses an instance whose
+reduced digraph would have more than INPUT_MAX_SIZE vertices plus arcs.
 
 Subcommands: classify, decide, construct, verify, gadget, match,
 reduce-3dm, oracle, scott.
@@ -23,7 +28,7 @@ from .construct import (
     perfect_forest_undirected,
     weak_to_almost,
 )
-from .errors import BudgetExceeded, InvariantError, OutForestError
+from .errors import BudgetExceeded, InputError
 from .forests import (
     ForestKind,
     format_forest,
@@ -49,7 +54,9 @@ SCHEMA = 1
 # 403 650 (n = 300, m = 900) the command took 1.4 s and 121 MiB on a
 # 2-core machine, and both grow linearly with the bound
 GADGET_MAX_SIZE = 500_000
-# bound on n + m of the input to classify, decide, match and scott; at
+# bound on n + m of the input to classify, decide, match and scott, and
+# of the digraph reduce-3dm writes (the 3DM reduction's Y block is
+# complete, so that digraph grows as m^2 in the number of triples); at
 # n + m = 500 000 (m = 2n, sparse and random) `decide --kind almost-perfect`
 # took 3.6 s and 202 MiB and `scott` 4.4 s and 210 MiB on a 2-core
 # machine, and both grow linearly with n + m
@@ -87,22 +94,23 @@ def _check_size(n: int, m: int):
 
 
 def _budget(args) -> OracleBudget:
-    return OracleBudget(
-        max_vertices=args.max_vertices,
-        max_states=args.max_states,
-        time_limit=args.time_limit,
-    )
+    try:
+        return OracleBudget(args.max_vertices, args.max_states, args.time_limit)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _decide_forest(d, kind: ForestKind, use_oracle: bool, budget: OracleBudget):
+    """The forest of the requested kind, or None, already checked by its
+    producer for that kind or a stronger one: `oracle_forest` checks the
+    kind asked, `weak_to_almost` almost perfect and `decide_weak` weak
+    perfect.  Weak perfect implies even: the |T| degrees of a tree T are
+    odd and add up to 2(|T|-1), so |T| is even."""
     if use_oracle or kind is ForestKind.PERFECT:
         return oracle_forest(d, kind, budget)
     f = decide_weak(d)
-    if f is None:
-        return None
-    if kind is ForestKind.ALMOST_PERFECT:
-        f = weak_to_almost(d, f)
-    # a weak perfect out-forest is already an even out-forest
+    if f is not None and kind is ForestKind.ALMOST_PERFECT:
+        return weak_to_almost(d, f)
     return f
 
 
@@ -136,9 +144,6 @@ def cmd_decide(args) -> int:
         else:
             print(f"no {args.kind} out-forest")
         return 1
-    report = verify(d, f, kind)
-    if not report.passed:
-        raise InvariantError(f"constructed forest fails its check: {report.to_json()}")
     if args.json:
         _emit_json(
             {
@@ -212,6 +217,14 @@ def cmd_match(args) -> int:
 
 def cmd_reduce_3dm(args) -> int:
     inst = parse_3dm(_read(args.instance))
+    k, m = inst.k, inst.m
+    # n plus the arcs of X, then of Y (see hardness.reduce_3dm)
+    size = 2 * (m + k) + (m - k) * (m + 6 * k) + m * (m + 2)
+    if m >= k and size > INPUT_MAX_SIZE:
+        raise BudgetExceeded(
+            f"the reduced digraph of k={k}, m={m} has n + arcs = {size}, "
+            f"over the limit of {INPUT_MAX_SIZE}"
+        )
     d, rmap = reduce_3dm(inst)
     if rmap.degenerate:
         print(
@@ -340,10 +353,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except InvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except (OutForestError, OSError, ValueError) as exc:
+    except (InputError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

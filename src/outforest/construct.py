@@ -219,7 +219,6 @@ def remove_cycles(f: ArcSet) -> OutForest:
     # functional-graph cycle detection on parent pointers; cycles are
     # vertex-disjoint because in-degree is at most one
     color = [0] * f.n  # 0 unseen, 1 in progress, 2 done
-    cycles: list[list[int]] = []
     for s in range(f.n):
         if color[s]:
             continue
@@ -231,14 +230,11 @@ def remove_cycles(f: ArcSet) -> OutForest:
             if v not in parent:
                 break
             v = parent[v]
-        if color[v] == 1 and v in parent:
-            cycle = path[path.index(v):]
-            cycles.append(cycle)
+        if color[v] == 1 and v in parent:  # the walk closed a cycle at v
+            for w in path[path.index(v):]:
+                del parent[w]
         for w in path:
             color[w] = 2
-    for cycle in sorted(cycles, key=min):
-        for v in cycle:
-            del parent[v]
     return OutForest(f.n, parent)
 
 
@@ -289,11 +285,7 @@ def gadget_forest(d: Digraph) -> OutForest | None:
     m = perfect_matching(g)
     if m is None:
         return None
-    # the matching is this function's own: a bad one is an internal fault
-    try:
-        return remove_cycles(matching_to_arcset(d, m, c))
-    except (NotPerfectMatching, ValueError) as exc:
-        raise InvariantError(f"gadget matching read back badly: {exc}") from exc
+    return remove_cycles(matching_to_arcset(d, m, c))
 
 
 def decide_weak(d: Digraph) -> OutForest | None:
@@ -431,9 +423,5 @@ def perfect_forest_undirected(g: UGraph) -> set[Edge] | None:
         tree = spanning_out_tree(d, 0)
     except NotReachable:
         return None
-    # the split is this function's own: a bad one is an internal fault
-    try:
-        f = weak_to_almost(d, even_tree_to_weak(tree))
-    except NotWeakPerfect as exc:
-        raise InvariantError(f"even-tree split is not weak perfect: {exc}") from exc
+    f = weak_to_almost(d, even_tree_to_weak(tree))
     return {(p, c) if p < c else (c, p) for c, p in f.parent.items()}

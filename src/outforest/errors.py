@@ -5,7 +5,11 @@ class OutForestError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(OutForestError):
+class InputError(OutForestError):
+    """The user's input or flags are invalid: bad input, not a fault."""
+
+
+class ParseError(InputError):
     """A text input could not be parsed; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):
@@ -41,7 +45,7 @@ class ArcNotInDigraph(OutForestError):
     pass
 
 
-class OddOrder(OutForestError):
+class OddOrder(InputError):
     pass
 
 
@@ -61,7 +65,7 @@ class NotPerfectMatching(OutForestError):
     pass
 
 
-class TooFewTriples(OutForestError):
+class TooFewTriples(InputError):
     pass
 
 
@@ -73,7 +77,7 @@ class StructureMismatch(OutForestError):
     pass
 
 
-class BudgetExceeded(OutForestError):
+class BudgetExceeded(InputError):
     pass
 
 

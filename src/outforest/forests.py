@@ -12,7 +12,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .errors import ArcNotInDigraph, MalformedLine, NotAlmostPerfect
+from .errors import ArcNotInDigraph, InputError, MalformedLine, NotAlmostPerfect
 from .graphs import Arc, Digraph, Edge, UGraph, bidirect
 
 
@@ -271,4 +271,7 @@ def parse_forest(text: str) -> OutForest:
     n = len(seen)
     if seen != set(range(n)):
         raise MalformedLine("vertices must be exactly 0..n-1", 1)
-    return OutForest(n, parent)
+    try:
+        return OutForest(n, parent)
+    except ValueError as exc:  # a cycle, a self-parent or a parent out of range
+        raise InputError(str(exc)) from exc

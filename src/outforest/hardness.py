@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    InputError,
     MalformedLine,
     Not3DMPerfectMatching,
     StructureMismatch,
@@ -231,7 +232,10 @@ def parse_3dm(text: str) -> ThreeDMInstance:
     k, m = header
     if len(triples) != m:
         raise MalformedLine(f"declared {m} triples, found {len(triples)}", 1)
-    return ThreeDMInstance(k, tuple(triples))
+    try:
+        return ThreeDMInstance(k, tuple(triples))
+    except ValueError as exc:  # k < 1, no triple, or a bad or duplicate triple
+        raise InputError(str(exc)) from exc
 
 
 def format_3dm(inst: ThreeDMInstance) -> str:

@@ -31,6 +31,8 @@ class OracleBudget:
     def __post_init__(self):
         if self.max_vertices <= 0 or self.max_states <= 0:
             raise ValueError("budget values must be positive")
+        if self.time_limit is not None and not 0 < self.time_limit < float("inf"):
+            raise ValueError("time limit must be a positive finite number of seconds")
 
 
 def oracle_forest(
@@ -82,7 +84,7 @@ def oracle_forest(
             f"n={n} exceeds budget max_vertices={budget.max_vertices}"
         )
     deadline = (
-        time.monotonic() + budget.time_limit if budget.time_limit else None
+        None if budget.time_limit is None else time.monotonic() + budget.time_limit
     )
     in_nbrs = d.in_neighbors()
     candidates = [[None] + in_nbrs[v] for v in range(n)]

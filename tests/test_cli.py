@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,7 +23,7 @@ from outforest import (
     parse_ugraph,
     verify,
 )
-from outforest import cli, construct
+from outforest import cli, construct, errors
 from outforest.cli import run
 
 TWO_CYCLE = "2 2\n0 1\n1 0\n"
@@ -124,8 +126,9 @@ class TestInvariantChecks:
         assert check_undirected_perfect_forest(parse_ugraph(text), edges)
 
     def test_failed_check_is_internal_error(self, monkeypatch, twocycle, capsys):
+        # decide_weak's check is the last one a weak perfect forest gets
         monkeypatch.setattr(
-            cli,
+            construct,
             "verify",
             lambda d, f, kind: VerificationReport((("even-degree", (0,)),)),
         )
@@ -339,6 +342,152 @@ class TestUnexpectedFaults:
         err = capsys.readouterr().err
         assert err.startswith("internal error: RecursionError: maximum recursion"), err
         assert "Traceback" not in err
+
+
+class TestExitCodes:
+    """The exception's type alone decides exit 2 (bad input) or 3 (a
+    fault of this package)."""
+
+    # (argv with {name} placeholders, {name: file contents}, stderr)
+    INPUT_ERRORS = [
+        (["verify", "--kind", "even", "{g}", "{f}"], {"g": TWO_CYCLE, "f": "0 1\n1 0\n"},
+         "error: cycle in parent relation through [0, 1]\n"),
+        (["verify", "--kind", "even", "{g}", "{f}"], {"g": TWO_CYCLE, "f": "0 5\n1 0\n"},
+         "error: arc (5,0) out of range for n=2\n"),
+        (["reduce-3dm", "{i}"], {"i": "1 1\n0 0 5\n"},
+         "error: triple (0, 0, 5) out of range for k=1\n"),
+        (["reduce-3dm", "{i}"], {"i": "2 1\n0 0 0\n"},
+         "error: need m >= k, got m=1, k=2\n"),
+        (["oracle", "--kind", "even", "--max-vertices", "0", "{g}"], {"g": TWO_CYCLE},
+         "error: budget values must be positive\n"),
+        (["gadget", "{g}"], {"g": "3 2\n0 1\n1 2\n"},
+         "error: gadget requires even order >= 2, got n=3\n"),
+        (["classify", "{g}"], {"g": b"\xff\xfe"},
+         "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, files, err", INPUT_ERRORS)
+    def test_input_error_exits_two(self, argv, files, err, tmp_path, capsys):
+        paths = {}
+        for name, content in files.items():
+            p = tmp_path / name
+            (p.write_bytes if isinstance(content, bytes) else p.write_text)(content)
+            paths[name] = str(p)
+        assert run([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_forest_build_fault_exits_three(self, monkeypatch, tmp_path, capsys):
+        # on a 4-path the second forest is the one the swap pass builds
+        graph = tmp_path / "p4.ug"
+        graph.write_text(PATH4)
+        calls = []
+
+        def second_fails(n, parent):
+            calls.append(n)
+            if len(calls) == 2:
+                raise ValueError("cycle in parent relation through [0]")
+            return OutForest(n, parent)
+
+        monkeypatch.setattr(construct, "OutForest", second_fails)
+        assert run(["scott", str(graph)]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: ValueError: cycle in parent relation through [0]\n")
+
+    def test_invalid_matching_exits_three(self, monkeypatch, tmp_path, capsys):
+        graph = tmp_path / "p3.ug"
+        graph.write_text("3 2\n0 1\n1 2\n")
+        monkeypatch.setattr(cli, "maximum_matching",
+                            lambda g: Matching(frozenset({(0, 1), (1, 2)})))
+        assert run(["match", str(graph)]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: ValueError: matching edges share an endpoint\n")
+
+    def test_every_error_class(self, monkeypatch, twocycle, capsys):
+        # every exception class of outforest.errors, so a new one is covered
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, Exception)]
+        assert errors.InputError in classes and errors.InvariantError in classes
+        for cls in [*classes, ValueError, KeyError, MemoryError]:
+            exc = cls.__new__(cls)  # skips the subclasses' own __init__
+            exc.args = ("boom",)
+
+            def fail(text):
+                raise exc
+
+            monkeypatch.setattr(cli, "parse_digraph", fail)
+            code = run(["classify", twocycle])
+            err = capsys.readouterr().err
+            if issubclass(cls, errors.InputError):
+                assert (code, err) == (2, "error: boom\n"), cls
+            else:
+                assert code == 3, cls
+                assert err.startswith(f"internal error: {cls.__name__}: "), (cls, err)
+
+    @pytest.mark.parametrize("kind, calls", [
+        ("almost-perfect", 3), ("weak-perfect", 1), ("even", 1)])
+    def test_each_forest_checked_by_its_producer(self, kind, calls, monkeypatch,
+                                                 tmp_path, capsys):
+        graph = tmp_path / "g.dg"
+        graph.write_text(SWAP_WITNESS)
+        counted = []
+        for module in (cli, construct, outforest.oracle):
+            def counting(*args, _verify=module.verify):
+                counted.append(args[2])
+                return _verify(*args)
+
+            monkeypatch.setattr(module, "verify", counting)
+        assert run(["decide", "--kind", kind, str(graph)]) == 0
+        assert len(counted) == calls, counted
+        counted.clear()
+        assert run(["oracle", "--kind", kind, str(graph)]) == 0
+        assert counted == [cli.KIND_NAMES[kind]]
+
+
+class TestReduce3DMSizeGuard:
+    def test_refused_before_the_reduction(self, monkeypatch, tmp_path, capsys):
+        def reduction(inst):
+            raise RuntimeError("reduction started")
+
+        monkeypatch.setattr(cli, "reduce_3dm", reduction)
+        # k = 10 and all 1 000 triples: n + arcs = 2 053 420
+        triples = itertools.product(range(10), repeat=3)
+        inst = tmp_path / "big.3dm"
+        inst.write_text("10 1000\n" + "".join(f"{a} {b} {c}\n" for a, b, c in triples))
+        assert run(["reduce-3dm", str(inst)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the reduced digraph of k=10, m=1000 has n + arcs = 2053420, "
+            "over the limit of 500000\n")
+
+    def test_bound_is_the_built_size(self, monkeypatch, tmp_path, capsys):
+        # the guard's size is exact: refused one below it, run at it
+        rng = random.Random(7)
+        inst = tmp_path / "i.3dm"
+        for _ in range(100):
+            k = rng.randint(1, 4)
+            triples = rng.sample(list(itertools.product(range(k), repeat=3)),
+                                 rng.randint(k, min(k**3, 12)))
+            inst.write_text(f"{k} {len(triples)}\n"
+                            + "".join(f"{a} {b} {c}\n" for a, b, c in triples))
+            assert run(["reduce-3dm", str(inst)]) == 0
+            n, arcs = map(int, capsys.readouterr().out.split("\n", 1)[0].split())
+            monkeypatch.setattr(cli, "INPUT_MAX_SIZE", n + arcs - 1)
+            assert run(["reduce-3dm", str(inst)]) == 2
+            assert "over the limit" in capsys.readouterr().err
+            monkeypatch.setattr(cli, "INPUT_MAX_SIZE", n + arcs)
+            assert run(["reduce-3dm", str(inst)]) == 0
+            capsys.readouterr()
+            monkeypatch.undo()
+
+
+class TestTimeLimitFlag:
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+    def test_refused(self, value, twocycle, capsys):
+        assert run(["oracle", "--kind", "even", "--time-limit", value, twocycle]) == 2
+        assert capsys.readouterr().err == (
+            "error: time limit must be a positive finite number of seconds\n")
+
+    def test_positive_accepted(self, twocycle):
+        assert run(["oracle", "--kind", "even", "--time-limit", "5", twocycle]) == 0
 
 
 class TestScottOutputPinned:

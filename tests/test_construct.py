@@ -147,6 +147,14 @@ class TestRemoveCycles:
         assert f.arcs() == {(0, 3), (1, 4), (2, 5)}
         assert verify(d, f, ForestKind.WEAK_PERFECT).passed
 
+    def test_two_cycles_stripped(self):
+        # vertex 0's walk finds the cycle through 3, 4 and 5 before the
+        # cycle through 1 and 2, which holds the smaller vertex
+        arcs = {(3, 4), (4, 5), (5, 3), (3, 0), (4, 8), (5, 9),
+                (1, 2), (2, 1), (1, 6), (2, 7)}
+        f = remove_cycles(ArcSet(10, arcs))
+        assert f.parent == {0: 3, 8: 4, 9: 5, 6: 1, 7: 2}
+
     def test_acyclic_fixed_point(self):
         arcset = ArcSet(4, {(0, 1), (2, 3)})
         assert remove_cycles(arcset).arcs() == {(0, 1), (2, 3)}
@@ -270,6 +278,21 @@ class TestBoundedDecider:
         )
         with pytest.raises(InvariantError):
             decide_weak(TWO_CYCLE)
+
+
+class TestCheckErrorsReachTheCaller:
+    """Each route's check raises its own error to a library caller."""
+
+    def test_gadget_read_back(self, monkeypatch):
+        # two initial components: the gadget route reads back its matching
+        monkeypatch.setattr(construct, "perfect_matching", lambda g: Matching(frozenset()))
+        with pytest.raises(NotPerfectMatching, match="covers 0 of 4"):
+            gadget_forest(Digraph(4, {(0, 1), (2, 3)}))
+
+    def test_even_tree_split(self, monkeypatch):
+        monkeypatch.setattr(construct, "even_tree_to_weak", lambda t: OutForest(t.n, {}))
+        with pytest.raises(NotWeakPerfect):
+            perfect_forest_undirected(UGraph(4, {(0, 1), (1, 2), (2, 3)}))
 
 
 class TestDecideWeak:

@@ -18,7 +18,7 @@ from outforest import (
     parse_forest,
     verify,
 )
-from outforest.errors import ArcNotInDigraph, NotAlmostPerfect
+from outforest.errors import ArcNotInDigraph, InputError, NotAlmostPerfect
 
 TWO_CYCLE = Digraph(2, {(0, 1), (1, 0)})
 
@@ -27,6 +27,12 @@ class TestOutForest:
     def test_rejects_cycle(self):
         with pytest.raises(ValueError):
             OutForest(2, {0: 1, 1: 0})
+
+    def test_parse_turns_a_bad_forest_into_input_error(self):
+        with pytest.raises(InputError, match=r"^cycle in parent relation through \[0, 1\]$"):
+            parse_forest("0 1\n1 0\n")
+        with pytest.raises(InputError, match=r"^arc \(5,0\) out of range for n=2$"):
+            parse_forest("0 5\n1 0\n")
 
     def test_caches(self):
         f = OutForest(5, {1: 0, 2: 1, 4: 3})

@@ -18,6 +18,7 @@ from outforest import (
     verify,
 )
 from outforest.errors import (
+    InputError,
     MalformedLine,
     Not3DMPerfectMatching,
     StructureMismatch,
@@ -39,6 +40,14 @@ class TestInstance:
     def test_text_round_trip(self):
         inst = ThreeDMInstance(2, ((0, 0, 0), (1, 1, 1), (0, 1, 0)))
         assert parse_3dm(format_3dm(inst)) == inst
+
+    def test_parse_turns_a_bad_instance_into_input_error(self):
+        with pytest.raises(InputError, match=r"out of range for k=1"):
+            parse_3dm("1 1\n0 0 5\n")
+        with pytest.raises(InputError, match="duplicate triple"):
+            parse_3dm("1 2\n0 0 0\n0 0 0\n")
+        with pytest.raises(InputError, match="at least 1"):
+            parse_3dm("0 0\n")
 
     def test_parse_errors(self):
         with pytest.raises(MalformedLine):

@@ -164,6 +164,17 @@ class TestOracleForest:
         with pytest.raises(BudgetExceeded):
             oracle_forest(d, ForestKind.PERFECT, OracleBudget(max_states=10))
 
+    @pytest.mark.parametrize("limit", [0, float("nan"), -1, float("inf")])
+    def test_time_limit_must_be_positive_and_finite(self, limit):
+        with pytest.raises(ValueError, match="positive finite"):
+            OracleBudget(time_limit=limit)
+
+    def test_budget_time_limit(self):
+        d = Digraph(9, frozenset((u, v) for u in range(9) for v in range(9) if u != v))
+        with pytest.raises(BudgetExceeded, match="time limit"):
+            oracle_forest(d, ForestKind.ALMOST_PERFECT,
+                          OracleBudget(max_vertices=9, time_limit=1e-9))
+
     def test_deterministic(self):
         d = Digraph(4, {(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)})
         assert oracle_forest(d, ForestKind.EVEN) == oracle_forest(d, ForestKind.EVEN)
