@@ -1,34 +1,44 @@
-"""Constructive pipelines: the matching gadget and its correspondence,
-the two forest-transformation lemmas, and the end-to-end constructors.
+"""Constructive pipelines: the shared-in-neighbour graph H that decides
+weak perfect out-forests, the paper's uniform matching gadget and its
+correspondence, the two forest-transformation lemmas, and the end-to-end
+constructors.
 
 `decide_weak` decides by the paper's theorem before it searches.  An even
 digraph with a single initial strong component always has a weak perfect
 out-forest, and a spanning out-tree from a vertex of that component split
 by `even_tree_to_weak` is one, built in linear time.  Every other even
-digraph goes to the gadget, whose matcher stops at the first exposed
-vertex it cannot augment: that vertex stays exposed, so no perfect
+digraph goes to `gadget_forest`, whose matcher stops at the first exposed
+vertex of H it cannot augment: that vertex stays exposed, so no perfect
 matching and no forest exists.
 
-The gadget reduces weak-perfect-out-forest existence to perfect matching:
-each source vertex u gets a block X_u of odd size (a distinguished
-boundary vertex y_u plus internal matching pairs), and each source arc
-(u,v) contributes all edges from X_u to y_v.  The paper's uniform layout
-gives every block n-1 vertices, so the gadget always has n(n-1) vertices.
-The degree-bounded layout used by `gadget_forest` gives X_u only
-2*floor(d+(u)/2)+1 vertices (d+ is the out-degree), at most n+m in all.
-That suffices because:
+A weak perfect out-forest is a map t with t(v) in N-[v] (v itself or an
+in-neighbour of v) under which every vertex has an even number of
+preimages: read t(v) != v as the arc (t(v),v) and t(v) = v as "v is a
+root".  A vertex's degree and its preimage count both count its children;
+the degree adds its in-arc, the preimage count the vertex itself at a
+root, so one is odd exactly when the other is even.  `remove_cycles`
+strips the directed cycles of t (each cycle vertex loses two arcs), and
+a forest gives t = parent, or self at a root.  The preimages of u lie in
+N+[u], so an even class splits into pairs that share the closed
+in-neighbour u: t exists exactly when H, the graph on V with a ~ b
+whenever a and b share a closed in-neighbour, has a perfect matching.  H
+is one clique per N+[u]; each edge records the u of the first clique
+that adds it, and the read-back sets t(x) to the record of x's edge.
 
-* every block still has odd size, so a perfect matching still gives each
-  vertex an odd number of incident arcs;
-* a forest never needs more than floor(d+(u)/2) internal pairs in X_u: a
-  child vertex has even out-degree at most d+(u), and a root has odd
-  out-degree with y_u carrying one of its arcs.
+A clique of more than _CLIQUE_MAX = c members is cut into pieces of c-2,
+chained by connector pairs z-z': z joins one piece's clique, z' the
+next's, and z-z' is an edge.  So H has n vertices plus two per connector
+and O(n+m) edges.  The connectors carry parity: a perfect matching either
+matches z to z' or both inside their pieces, so an even number of u's
+connectors is matched into V and every preimage class stays even.
+Conversely an even class is matched piece by piece, a piece with an odd
+count taking the connector into the next; the last count is even because
+the class is, and the connectors left over are matched z to z'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .errors import (
     InvariantError,
@@ -61,10 +71,9 @@ class GadgetCorrespondence:
 
     Block X_u occupies the contiguous index range [starts[u], starts[u+1]);
     its first index is the boundary vertex y_u, and the remaining indices
-    pair up into internal edges.  Every block has odd size: n-1 in the
-    paper's uniform layout, 2*floor(d+(u)/2)+1 in the degree-bounded one
-    (see the module docstring for why that is enough).  `owner` maps each
-    gadget vertex back to its source vertex.
+    pair up into internal edges.  Every block must have odd size;
+    `build_gadget` gives each the paper's n-1.  `owner` maps each gadget
+    vertex back to its source vertex.
     """
 
     starts: tuple[int, ...]
@@ -134,15 +143,14 @@ class ArcSet:
                 raise ValueError(f"in-degree of {v} exceeds one")
 
 
-def build_gadget(
-    d: Digraph, bounded: bool = False
-) -> tuple[UGraph, GadgetCorrespondence]:
+def build_gadget(d: Digraph) -> tuple[UGraph, GadgetCorrespondence]:
     """Gadget graph whose perfect matchings correspond to weak perfect
     out-forests of d.  Requires even order n >= 2.
 
-    By default every block has the paper's uniform size n-1; with
-    bounded=True block X_u has size 2*floor(d+(u)/2)+1 and the gadget at
-    most n+m vertices.
+    Every block X_u has the paper's uniform n-1 vertices, and each source
+    arc (u,v) adds all edges from X_u to y_v, so a perfect matching gives
+    every vertex an odd number of incident arcs.  With n(n-1) vertices it
+    is too large to decide on; `gadget_forest` matches on H instead.
 
     Note: for antiparallel source arcs the two copies of the boundary edge
     {y_u, y_v} collapse into one undirected edge; matching_to_arcset
@@ -150,14 +158,7 @@ def build_gadget(
     """
     if d.n % 2 == 1 or d.n < 2:
         raise OddOrder(f"gadget requires even order >= 2, got n={d.n}")
-    if bounded:
-        outdeg = [0] * d.n
-        for (u, _) in d.arcs:
-            outdeg[u] += 1
-        sizes = [2 * (k // 2) + 1 for k in outdeg]
-    else:
-        sizes = [d.n - 1] * d.n
-    c = GadgetCorrespondence((0, *accumulate(sizes)))
+    c = GadgetCorrespondence(range(0, d.n * (d.n - 1) + 1, d.n - 1))
     edges: set[Edge] = set()
     for u in range(d.n):
         edges.update(c.internal_pairs(u))
@@ -250,8 +251,9 @@ def forest_to_matching(
     vertices, so the leftovers are exactly unions of full pairs.
 
     No route calls it; it stays because the tests check the forest-gadget
-    correspondence in this direction, and a warm-started matcher would
-    map forests into the gadget the same way.
+    correspondence in this direction.  A warm-started matcher would map
+    forests into H instead, pairing each preimage class of t inside its
+    chain (see the module docstring).
     """
     report = verify(d, f, ForestKind.WEAK_PERFECT)
     if not report.passed:
@@ -277,15 +279,48 @@ def forest_to_matching(
     return Matching(frozenset(edges))
 
 
+# cliques of H with more members are cut into chained pieces of
+# _CLIQUE_MAX - 2 members, which leaves room for two connectors (c >= 3)
+_CLIQUE_MAX = 4
+
+
+def _shared_in_neighbour_graph(d: Digraph) -> tuple[UGraph, dict[Edge, int]]:
+    """H (see the module docstring) and, for each of its edges, the u of
+    the first clique N+[u] that adds it.  Connectors are numbered from n
+    on, in the order their chains are built."""
+    label: dict[Edge, int] = {}
+    size = d.n
+    step = _CLIQUE_MAX - 2
+    for u, vs in enumerate(d.out_neighbors()):
+        members = [u, *vs]
+        pieces = [members]
+        if len(members) > _CLIQUE_MAX:
+            pieces = [members[i:i + step] for i in range(0, len(members), step)]
+            for a, b in zip(pieces, pieces[1:]):
+                a.append(size)
+                b.append(size + 1)
+                label[size, size + 1] = u
+                size += 2
+        for piece in pieces:
+            for i, a in enumerate(piece):
+                for b in piece[i + 1:]:
+                    label.setdefault((a, b) if a < b else (b, a), u)
+    return UGraph._normalised(size, frozenset(label)), label
+
+
 def gadget_forest(d: Digraph) -> OutForest | None:
-    """Weak perfect out-forest read back from a perfect matching of the
-    degree-bounded gadget, or None if the gadget has none.  Requires even
-    order n >= 2 (OddOrder otherwise) and never uses connectivity."""
-    g, c = build_gadget(d, bounded=True)
+    """Weak perfect out-forest read back from a perfect matching of H, or
+    None if H has none: t(x) is the recorded u of x's matched edge, and
+    t(x) != x gives the arc (t(x),x).  Never uses connectivity; at odd
+    order H has an odd number of vertices, so the answer is None."""
+    g, label = _shared_in_neighbour_graph(d)
     m = perfect_matching(g)
     if m is None:
         return None
-    return remove_cycles(matching_to_arcset(d, m, c))
+    if 2 * len(m) != g.n:
+        raise NotPerfectMatching(f"matching covers {2 * len(m)} of {g.n} vertices of H")
+    arcs = {(label[e], x) for e in m.edges for x in e if x < d.n and x != label[e]}
+    return remove_cycles(ArcSet(d.n, frozenset(arcs)))
 
 
 def decide_weak(d: Digraph) -> OutForest | None:

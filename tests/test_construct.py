@@ -35,6 +35,7 @@ from outforest import (
     sample_digraphs,
     spanning_out_tree,
     verify,
+    weak_components,
     weak_to_almost,
 )
 from outforest import construct
@@ -78,6 +79,10 @@ class TestBuildGadget:
         with pytest.raises(OddOrder):
             build_gadget(Digraph(3, {(0, 1)}))
 
+    def test_even_block_rejected(self):
+        with pytest.raises(ValueError):
+            construct.GadgetCorrespondence((0, 1, 3))
+
     def test_blocks_disjoint_and_sized(self):
         _, c = build_gadget(PATH4)
         blocks = [set(c.block(u)) for u in range(4)]
@@ -85,39 +90,101 @@ class TestBuildGadget:
         assert len(set().union(*blocks)) == 12
 
 
-class TestBoundedGadget:
-    def test_blocks_sized_by_out_degree(self):
+def _chain_sizes(members, c):
+    """Clique sizes in the chain of a closed out-neighbourhood of this
+    many members when no clique may hold more than c."""
+    if members <= c:
+        return [members]
+    pieces = -(-members // (c - 2))
+    return [min(c - 2, members - i * (c - 2)) + (i > 0) + (i < pieces - 1)
+            for i in range(pieces)]
+
+
+class TestSharedInNeighbourGraph:
+    """H, the graph gadget_forest matches on: one clique per closed
+    out-neighbourhood N+[u], cut into chained pieces past _CLIQUE_MAX."""
+
+    def test_size_set_by_out_degrees(self):
         digraphs = itertools.chain(
             enumerate_digraphs(4),
             sample_digraphs(6, 200, seed=31, arc_probability=0.3),
             sample_digraphs(8, 200, seed=37, arc_probability=0.3),
         )
         for d in digraphs:
-            g, c = build_gadget(d, bounded=True)
-            assert g.n == c.size <= d.n + len(d.arcs)
-            outdeg = [sum(1 for (u, _) in d.arcs if u == v) for v in range(d.n)]
-            assert [len(c.block(u)) for u in range(d.n)] == [
-                2 * (k // 2) + 1 for k in outdeg
-            ]
-            assert all(c.source_of(x) == u for u in range(d.n) for x in c.block(u))
+            g, label = construct._shared_in_neighbour_graph(d)
+            chains = [_chain_sizes(len(vs) + 1, construct._CLIQUE_MAX)
+                      for vs in d.out_neighbors()]
+            assert g.n == d.n + 2 * sum(len(sizes) - 1 for sizes in chains)
+            assert set(label) == g.edges
+            assert len(g.edges) <= sum(
+                sum(s * (s - 1) // 2 for s in sizes) + len(sizes) - 1 for sizes in chains)
+            closed_in = [{v, *d.in_neighbors()[v]} for v in range(d.n)]
+            assert all(u in closed_in[x] for e, u in label.items() for x in e if x < d.n)
 
-    def test_path_sidecar_offsets(self):
-        g, c = build_gadget(PATH4, bounded=True)
-        assert g.n == 4 and g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
-        assert c.format_sidecar() == (
-            "block 0 0 1 0\nblock 1 1 1 1\nblock 2 2 1 2\nblock 3 3 1 3\n"
-        )
+    def test_path(self):
+        g, label = construct._shared_in_neighbour_graph(PATH4)
+        assert g.n == 4
+        assert label == {(0, 1): 0, (1, 2): 1, (2, 3): 2}
 
-    def test_uneven_blocks(self):
-        d = Digraph(4, {(0, 1), (0, 2), (0, 3), (1, 0), (1, 2)})
-        g, c = build_gadget(d, bounded=True)
-        assert [c.y(u) for u in range(4)] == [0, 3, 6, 7]
-        assert c.internal_pairs(0) == [(1, 2)] and c.internal_pairs(1) == [(4, 5)]
-        assert c.internal_pairs(2) == [] and g.n == 8
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_chain_boundaries(self, c, monkeypatch):
+        # vertex 0 of out-degree 0-10, alone (one chain) and among random
+        # arcs, decided against the oracle and the uniform gadget
+        monkeypatch.setattr(construct, "_CLIQUE_MAX", c)
+        budget = OracleBudget(max_vertices=12)
+        rng = random.Random(c)
+        found = 0
+        for k in range(11):
+            n = k + 2 - k % 2
+            star = Digraph(n, {(0, v) for v in range(1, k + 1)})
+            g, label = construct._shared_in_neighbour_graph(star)
+            sizes = _chain_sizes(k + 1, c)
+            assert max(sizes) <= c
+            assert g.n == n + 2 * (len(sizes) - 1)
+            assert len(g.edges) == sum(s * (s - 1) // 2 for s in sizes) + len(sizes) - 1
+            assert set(label.values()) <= {0}
+            for _ in range(20):
+                arcs = star.arcs | {(a, b) for a in range(1, n) for b in range(n)
+                                    if a != b and rng.random() < 0.2}
+                d = Digraph(n, arcs)
+                f = gadget_forest(d)
+                oracle = oracle_forest(d, ForestKind.WEAK_PERFECT, budget)
+                assert (f is None) == (oracle is None) == (_decide_uniform(d) is None), d
+                if f is not None:
+                    found += 1
+                    assert verify(d, f, ForestKind.WEAK_PERFECT).passed, d
+                    _round_trip(d, f, True)
+        assert 20 < found < 220
 
-    def test_even_block_rejected(self):
-        with pytest.raises(ValueError):
-            construct.GadgetCorrespondence((0, 1, 3))
+    def test_antiparallel_arcs(self):
+        # both arcs of a 2-cycle give the one edge {0,1}, recorded for 0
+        assert construct._shared_in_neighbour_graph(TWO_CYCLE)[1] == {(0, 1): 0}
+        assert gadget_forest(TWO_CYCLE).arcs() == {(0, 1)}
+        # a bidirected digraph has a weak perfect out-forest exactly when
+        # every component has even order
+        rng = random.Random(73)
+        found = 0
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            g = UGraph(n, {(a, b) for a in range(n) for b in range(a + 1, n)
+                           if rng.random() < 0.25})
+            d = bidirect(g)
+            f = gadget_forest(d)
+            even = all(len(c) % 2 == 0 for c in weak_components(d))
+            assert (f is not None) == even, g
+            if f is not None:
+                found += 1
+                assert verify(d, f, ForestKind.WEAK_PERFECT).passed, g
+        assert 20 < found < 380
+
+    def test_vertex_without_arcs(self):
+        # vertex 3 has no in-arc and no out-arc: N+[3] = {3}, isolated in H
+        d = Digraph(4, {(0, 1), (1, 2), (2, 0)})
+        g, _ = construct._shared_in_neighbour_graph(d)
+        assert all(3 not in e for e in g.edges)
+        assert gadget_forest(d) is None
+        assert gadget_forest(Digraph(2, set())) is None
+        assert gadget_forest(Digraph(3, {(0, 1), (1, 2), (2, 0)})) is None
 
 
 class TestMatchingToArcset:
@@ -195,45 +262,57 @@ class TestForestToMatching:
         assert 2 * len(m) == g.n
 
 
-def _round_trip(d, f, bounded):
-    """forest -> gadget matching -> arc set -> forest on one layout;
-    returns the arc set read back from the matching."""
-    g, c = build_gadget(d, bounded=bounded)
-    m = forest_to_matching(d, f, c)
-    assert m.edges <= g.edges
+def _round_trip(d, f, through_h):
+    """forest -> perfect matching -> arc set -> forest, on the uniform
+    gadget or on H; returns the arc set read back from the matching.
+
+    On H the matching is a maximum matching of the edges that agree with
+    the forest's map t (x's parent, or x at a root): both ends have one t,
+    a connector standing for the u its edges record.  The pairing of each
+    preimage class of t inside its chain lies in those edges, so the
+    matching is perfect; it is read back as gadget_forest reads its own.
+    """
+    if through_h:
+        g, label = construct._shared_in_neighbour_graph(d)
+        t = [f.parent.get(x, x) for x in range(d.n)]
+        agree = [e for e, u in label.items() if len({t[x] if x < d.n else u for x in e}) == 1]
+        m = maximum_matching(UGraph(g.n, agree))
+        arcs = {(label[e], x) for e in m.edges for x in e if x < d.n and x != label[e]}
+        arcset = ArcSet(d.n, arcs)
+    else:
+        g, c = build_gadget(d)
+        m = forest_to_matching(d, f, c)
+        assert m.edges <= g.edges
+        arcset = matching_to_arcset(d, m, c)
+        assert len(arcset.arcs) == len(f.arcs())
     assert 2 * len(m) == g.n
-    arcset = matching_to_arcset(d, m, c)
-    assert arcset.arcs <= d.arcs and len(arcset.arcs) == len(f.arcs())
+    assert arcset.arcs <= d.arcs
     assert verify(d, remove_cycles(arcset), ForestKind.WEAK_PERFECT).passed
     return arcset
 
 
 class TestRoundTripBothLayouts:
-    @pytest.mark.parametrize("bounded", [False, True])
+    """The paper's uniform gadget (through_h False) and H (True)."""
+
+    @pytest.mark.parametrize("through_h", [False, True])
     @settings(max_examples=60, deadline=None)
     @given(t=even_spanning_out_trees(min_n=2, max_n=10))
-    def test_tree_forests(self, bounded, t):
+    def test_tree_forests(self, through_h, t):
         d = Digraph(t.n, frozenset(t.arcs()))
-        _round_trip(d, even_tree_to_weak(t), bounded)
+        _round_trip(d, even_tree_to_weak(t), through_h)
 
-    @pytest.mark.parametrize("bounded", [False, True])
-    def test_seeded_digraphs(self, bounded):
+    @pytest.mark.parametrize("through_h", [False, True])
+    def test_seeded_digraphs(self, through_h):
         checked = 0
         for n in (4, 6, 8):
             for d in sample_digraphs(n, 150, seed=50 + n, arc_probability=0.3):
                 f = decide_weak(d)
                 if f is None:
                     continue
-                _round_trip(d, f, bounded)
-                _round_trip(d, weak_to_almost(d, f), bounded)
+                _round_trip(d, f, through_h)
+                _round_trip(d, weak_to_almost(d, f), through_h)
                 checked += 1
         assert checked > 300
-
-    def test_layouts_read_back_the_same_arcs(self):
-        for d in sample_digraphs(8, 100, seed=59, arc_probability=0.3):
-            f = decide_weak(d)
-            if f is not None:
-                assert _round_trip(d, f, False) == _round_trip(d, f, True)
 
 
 def _decide_uniform(d):
@@ -284,10 +363,12 @@ class TestCheckErrorsReachTheCaller:
     """Each route's check raises its own error to a library caller."""
 
     def test_gadget_read_back(self, monkeypatch):
-        # two initial components: the gadget route reads back its matching
-        monkeypatch.setattr(construct, "perfect_matching", lambda g: Matching(frozenset()))
-        with pytest.raises(NotPerfectMatching, match="covers 0 of 4"):
-            gadget_forest(Digraph(4, {(0, 1), (2, 3)}))
+        # N+[0] has five members, so H has two connector pairs: 10 vertices
+        d = Digraph(6, {(0, 1), (0, 2), (0, 3), (0, 4), (5, 4)})
+        for m in (Matching(frozenset()), Matching(frozenset({(0, 1)}))):
+            monkeypatch.setattr(construct, "perfect_matching", lambda g, m=m: m)
+            with pytest.raises(NotPerfectMatching, match=f"covers {2 * len(m)} of 10"):
+                gadget_forest(d)
 
     def test_even_tree_split(self, monkeypatch):
         monkeypatch.setattr(construct, "even_tree_to_weak", lambda t: OutForest(t.n, {}))
@@ -332,9 +413,10 @@ class TestDispatch:
 
 
 class TestGadgetRoute:
-    """gadget_forest called directly, single-initial digraphs included,
-    since decide_weak sends those to the tree route; every forest it reads
-    back is also sent through the matching conversion on both layouts."""
+    """gadget_forest, which matches on H, called directly, single-initial
+    digraphs included, since decide_weak sends those to the tree route;
+    every forest it reads back is also sent through the matching
+    conversion on both layouts."""
 
     def test_agrees_with_oracle_and_tree_route(self):
         budget = OracleBudget(max_vertices=8)
@@ -347,7 +429,7 @@ class TestGadgetRoute:
         for d in digraphs:
             f = gadget_forest(d)
             oracle = oracle_forest(d, ForestKind.WEAK_PERFECT, budget)
-            assert (f is None) == (oracle is None), d
+            assert (f is None) == (oracle is None) == (_decide_uniform(d) is None), d
             if f is not None:
                 found += 1
                 assert verify(d, f, ForestKind.WEAK_PERFECT).passed, d

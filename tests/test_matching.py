@@ -6,13 +6,13 @@ from conftest import ugraphs
 from outforest import (
     OracleBudget,
     UGraph,
-    build_gadget,
     enumerate_digraphs,
     enumerate_ugraphs,
     maximum_matching,
     oracle_matching,
     perfect_matching,
 )
+from outforest import construct
 
 BUDGET = OracleBudget(max_vertices=12)
 
@@ -129,10 +129,13 @@ class TestPerfectMatching:
             perfect += perfect_matching(g) is not None
         assert 50 < perfect < 550
 
-    def test_bounded_gadget_of_every_order_4_digraph(self):
-        perfect = 0
-        for d in enumerate_digraphs(4):
-            g, _ = build_gadget(d, bounded=True)
-            assert self.agrees(g), d
-            perfect += perfect_matching(g) is not None
-        assert 0 < perfect < 4096
+    def test_shared_in_neighbour_graph_of_every_order_4_digraph(self, monkeypatch):
+        # at c = 3 a vertex of out-degree 3 has a chain of three connectors
+        for c in (3, 4):
+            monkeypatch.setattr(construct, "_CLIQUE_MAX", c)
+            perfect = 0
+            for d in enumerate_digraphs(4):
+                g, _ = construct._shared_in_neighbour_graph(d)
+                assert self.agrees(g), d
+                perfect += perfect_matching(g) is not None
+            assert 0 < perfect < 4096
